@@ -27,6 +27,7 @@ from .dynamics import (
     dominant_period,
     evolve,
     ipr,
+    observables,
     position_variance,
     survival_probability,
 )

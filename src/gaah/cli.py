@@ -252,7 +252,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
               f"{fmt(row['SP_end'])}")
     summary = os.path.join(out_dir, "sweep_summary.csv")
     from .output import _atomic_write
-    _atomic_write(summary, "\n".join(summary_lines) + "\n")
+    _atomic_write(summary, ["\n".join(summary_lines) + "\n"])
     manifest.add_file(summary)
     manifest.add_task("sweep", "ok", f"{len(rows)} points over {key}")
     return 0

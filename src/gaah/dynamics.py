@@ -23,6 +23,17 @@ piecewise-linear product integration with closed-form kernel moments
 ("trapezoid").  The exact local propagator keeps the eta = 0 limit unitary
 to machine precision at any step size, which an explicit stepper on the
 stiff local terms cannot do.
+
+The history sums are evaluated in blocks of ``HISTORY_BLOCK`` steps
+(Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  At each
+block start one FFT convolution of fixed length gives the contribution of
+all earlier history to every step of the block; within the block each step
+adds only the in-block part, a dot product shorter than the block.  The
+quadrature is unchanged, only the order of summation differs, and a run of
+n steps costs O(n^2 / HISTORY_BLOCK * log n + n * HISTORY_BLOCK) instead of
+O(n^2): a t = 1200, dt = 0.01 trajectory takes seconds, not tens of
+seconds.  Observables are computed in the same blocks, one vectorized call
+per block.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.fft
 import scipy.signal
 
 from .bath import BathParams, memory_kernel, memory_kernel_integral
@@ -45,6 +57,10 @@ _KNOWN_RECORD = frozenset(DEFAULT_RECORD) | {"sites"}
 
 #: Hard stability bound on the squared norm during stepping.
 NORM_BLOWUP = 1.0 + 1e-4
+
+#: Steps per history block: one FFT convolution per block brings in the far
+#: history, so longer blocks mean fewer FFTs but longer in-block dot products.
+HISTORY_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -124,6 +140,26 @@ def position_variance(alpha: np.ndarray) -> float:
     return float(np.sum(w * (n - mean) ** 2)) / total
 
 
+def observables(alphas: np.ndarray, reference: np.ndarray) -> dict[str, np.ndarray]:
+    """Row-wise "sp", "ipr", "norm" and "variance" of a (steps, N) array of
+    amplitudes: the vectorized form of ``survival_probability``, ``ipr``,
+    the squared norm and ``position_variance``, with the same conventions.
+    """
+    alphas = np.asarray(alphas)
+    w = np.abs(alphas) ** 2
+    total = np.sum(w, axis=1)
+    if np.any(total == 0.0):
+        raise ParameterError("position variance of a zero vector is undefined")
+    n = np.arange(1, alphas.shape[1] + 1, dtype=float)
+    mean = (w @ n) / total
+    return {
+        "sp": np.abs(alphas @ np.conj(reference)) ** 2,
+        "ipr": np.sum(w * w, axis=1),
+        "norm": total,
+        "variance": np.sum(w * (n - mean[:, np.newaxis]) ** 2, axis=1) / total,
+    }
+
+
 def _trapezoid_tables(bath: BathParams, dt: float, steps: int,
                       omega_max: float = math.inf):
     f = memory_kernel(bath, dt * np.arange(steps + 1), omega_max)
@@ -163,11 +199,15 @@ def _product_tables(bath: BathParams, dt: float, steps: int):
     return W, T
 
 
-class _MemoryConvolution:
-    """Scalar history convolution C(t_q) = int_0^{t_q} S(tau) f(t_q - tau) dtau.
+class _History:
+    """Blocked history sums of C(t_q) = int_0^{t_q} S(tau) f(t_q - tau) dtau.
 
-    Holds the lag-weight tables; evaluation is a single dot product of the
-    stored collective history against a contiguous reversed-weight slice.
+    On the lag grid C_q = sum_{j<=q} S_j W_{q-j} + S_0 D_q, with lag weights W
+    and the start-point correction D = T - W.  A memory window zeroes W and D
+    beyond the window's lag.  Each step needs the part of C_{m+1} that the
+    stored history S[0..m] fixes; it is split at the start k0 of the current
+    block: ``far`` gives the S[0:k0] and start-point parts for the whole
+    block at once, ``near`` the in-block part S[k0..m].
     """
 
     def __init__(self, bath: BathParams, grid: TimeGrid, rule: str,
@@ -182,29 +222,40 @@ class _MemoryConvolution:
             W, T = _product_tables(bath, grid.dt, grid.steps)
         else:
             raise ParameterError(f"unknown kernel rule {rule!r}")
-        self.W = W
-        self.T = T
-        self.Wrev = W[::-1].copy()
-        self.L = grid.steps
-        self.max_lag = None
+        D = T - W
         if window is not None and window > 0.0:
-            self.max_lag = max(1, int(round(window / grid.dt)))
+            max_lag = max(1, int(round(window / grid.dt)))
+            W[max_lag + 1:] = 0.0
+            D[max_lag + 1:] = 0.0
+        self.w0 = W[0]
+        self.D = D
+        # Lags 1..HISTORY_BLOCK, reversed so that ``near`` dots a contiguous
+        # slice against the history.
+        self.near_rev = W[HISTORY_BLOCK:0:-1].copy()
+        if grid.steps > HISTORY_BLOCK:
+            # Cyclic length >= steps + 1: for q > k0 no product S_j W_k with
+            # j < k0, k <= steps wraps into the far sums.
+            size = scipy.fft.next_fast_len(grid.steps + 1)
+            self.W_spec = scipy.fft.fft(W, n=size)
+            self.work = np.empty(size, dtype=complex)
 
-    def value(self, S: np.ndarray, q: int, m_hist: int, S_end: complex | None = None):
-        """C at time index q from history S[0..m_hist]; when q == m_hist + 1
-        the endpoint value comes from ``S_end`` (the predictor)."""
-        if q == 0:
-            return 0.0 + 0.0j
-        lo = 0 if self.max_lag is None else max(0, q - self.max_lag)
-        L = self.L
-        if S_end is None:
-            c = np.dot(S[lo:q + 1], self.Wrev[L - (q - lo):L + 1])
-        else:
-            c = np.dot(S[lo:m_hist + 1], self.Wrev[L - (q - lo):L])
-            c += S_end * self.W[0]
-        if lo == 0:
-            c += S[0] * (self.T[q] - self.W[q])
-        return c
+    def far(self, S: np.ndarray, k0: int, k1: int) -> list:
+        """sum_{j<k0} S_j W_{q-j} + S_0 D_q for q = k0+1..k1."""
+        out = S[0] * self.D[k0 + 1:k1 + 1]
+        if k0 > 0:
+            work = self.work
+            work[:k0] = S[:k0]
+            work[k0:] = 0.0
+            # overwrite_x lets scipy transform in place: no per-block arrays.
+            spec = scipy.fft.fft(work, overwrite_x=True)
+            spec *= self.W_spec
+            out += scipy.fft.ifft(spec, overwrite_x=True)[k0 + 1:k1 + 1]
+        return out.tolist()
+
+    def near(self, S: np.ndarray, k0: int, m: int) -> complex:
+        """sum_{j=k0..m} S_j W_{m+1-j}: the in-block part of C_{m+1}."""
+        K = len(self.near_rev)
+        return np.dot(S[k0:m + 1], self.near_rev[K - (m + 1 - k0):K])
 
 
 def memory_rhs(conv_value: complex, n_sites: int) -> np.ndarray:
@@ -254,66 +305,83 @@ def evolve(model: ModelParams, bath: BathParams, init: np.ndarray, grid: TimeGri
 
     dec = diagonalize(build_hamiltonian(model))
     dt = grid.dt
+    N = model.N
     P = (dec.states * np.exp(-1j * dec.energies * dt)) @ dec.states.T
-    P_ones = P @ np.ones(model.N, dtype=complex)
-    ones = np.ones(model.N, dtype=complex)
+    P_ones = P @ np.ones(N, dtype=complex)
 
     steps = grid.steps
     coupled = bath.eta != 0.0
-    conv = (_MemoryConvolution(bath, grid, kernel_rule, memory_window, kernel_omega_max)
-            if coupled else None)
+    history = (_History(bath, grid, kernel_rule, memory_window, kernel_omega_max)
+               if coupled else None)
     f_cum = memory_kernel_integral(bath, grid.times()) if (coupled and markovian) else None
 
     S = np.zeros(steps + 1, dtype=complex)
     S[0] = alpha.sum()
 
     series = {name: np.empty(steps + 1) for name in record if name != "sites"}
-    alpha_hist = np.empty((steps + 1, model.N), dtype=complex) if "sites" in record else None
+    observed = [name for name in ("sp", "ipr", "variance") if name in series]
+    norm = series.get("norm")
     reference = alpha.copy()
+    # Amplitudes of the current block, kept for the vectorized observables;
+    # with "sites" recorded the full history itself serves as the buffer.
+    if "sites" in record:
+        alpha_hist = np.empty((steps + 1, N), dtype=complex)
+        alpha_hist[0] = alpha
+    else:
+        alpha_hist = None
+        block_rows = np.empty((min(HISTORY_BLOCK, steps), N), dtype=complex)
 
-    def _record(idx, a):
-        if "sp" in series:
-            series["sp"][idx] = survival_probability(a, reference)
-        if "ipr" in series:
-            series["ipr"][idx] = ipr(a)
-        if "norm" in series:
-            series["norm"][idx] = float(np.vdot(a, a).real)
-        if "variance" in series:
-            series["variance"][idx] = position_variance(a)
-        if alpha_hist is not None:
-            alpha_hist[idx] = a
+    def _record(idx, rows):
+        if observed:
+            values = observables(rows, reference)
+            for name in observed:
+                series[name][idx:idx + len(rows)] = values[name]
 
-    _record(0, alpha)
+    _record(0, alpha[np.newaxis])
+    if norm is not None:
+        norm[0] = float(np.vdot(alpha, alpha).real)
 
-    w0 = conv.W[0] if coupled and not markovian else 0.0
-    for m in range(steps):
-        # Implicit trapezoid on the Duhamel integral of the memory term.  The
-        # new endpoint of the history convolution involves the amplitudes only
-        # through their sum, so summing the update equation closes a scalar
-        # linear equation for S_{m+1} and the implicit stage is solved
-        # exactly; no predictor, no fixed-point sweeps.
-        if coupled:
-            if markovian:
-                C_m = S[m] * f_cum[m]
-                c_hist = 0.0
-                w_end = f_cum[m + 1]
+    memory = coupled and not markovian
+    w0 = history.w0 if memory else 0.0
+    C_m = 0.0
+    for k0 in range(0, steps, HISTORY_BLOCK):
+        k1 = min(k0 + HISTORY_BLOCK, steps)
+        far = history.far(S, k0, k1) if memory else None
+        rows = alpha_hist[k0 + 1:k1 + 1] if alpha_hist is not None else block_rows[:k1 - k0]
+        for m in range(k0, k1):
+            # Implicit trapezoid on the Duhamel integral of the memory term.
+            # The new endpoint of the history convolution involves the
+            # amplitudes only through their sum, so summing the update
+            # equation closes a scalar linear equation for S_{m+1} and the
+            # implicit stage is solved exactly; no predictor, no fixed-point
+            # sweeps.  C_m, the convolution at t_m, is the previous step's
+            # c_hist + W_0 S_m (carried below); c_hist is C_{m+1} without its
+            # endpoint term.
+            if coupled:
+                if markovian:
+                    C_m = S[m] * f_cum[m]
+                    c_hist = 0.0
+                    w_end = f_cum[m + 1]
+                else:
+                    c_hist = far[m - k0] + history.near(S, k0, m)
+                    w_end = w0
+                A = P @ alpha - 0.5 * dt * C_m * P_ones
+                S_new = (A.sum() - 0.5 * dt * N * c_hist) / (1.0 + 0.5 * dt * N * w_end)
+                alpha = A - 0.5 * dt * (c_hist + w_end * S_new)
             else:
-                C_m = conv.value(S, m, m)
-                c_hist = conv.value(S, m + 1, m, S_end=0.0)
-                w_end = w0
-            A = P @ alpha - 0.5 * dt * C_m * P_ones
-            S_new = (A.sum() - 0.5 * dt * model.N * c_hist) \
-                / (1.0 + 0.5 * dt * model.N * w_end)
-            alpha = A - 0.5 * dt * (c_hist + w_end * S_new) * ones
-        else:
-            alpha = P @ alpha
-        nsq = float(np.vdot(alpha, alpha).real)
-        if not math.isfinite(nsq):
-            raise NumericsError(f"non-finite amplitude at step {m + 1}")
-        if nsq > NORM_BLOWUP:
-            raise UnstableEvolutionError(m + 1, nsq)
-        S[m + 1] = alpha.sum()
-        _record(m + 1, alpha)
+                alpha = P @ alpha
+            nsq = float(np.vdot(alpha, alpha).real)
+            if not math.isfinite(nsq):
+                raise NumericsError(f"non-finite amplitude at step {m + 1}")
+            if nsq > NORM_BLOWUP:
+                raise UnstableEvolutionError(m + 1, nsq)
+            S[m + 1] = alpha.sum()
+            if memory:
+                C_m = c_hist + w0 * S[m + 1]
+            rows[m - k0] = alpha
+            if norm is not None:
+                norm[m + 1] = nsq
+        _record(k0 + 1, rows)
 
     params = _run_metadata(model, bath, grid, kernel_rule, markovian, memory_window,
                            kernel_omega_max)

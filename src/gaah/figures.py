@@ -73,7 +73,7 @@ def _write_summary(rows: list[dict], path: str) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(fmt(row[c]) for c in columns))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def _delta_scan_bundle(cfg: RunConfig, out_dir: str, name: str, a: float,

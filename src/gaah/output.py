@@ -22,6 +22,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -33,6 +34,10 @@ TOOL_VERSION = "0.1.0"
 
 TRAJECTORY_COLUMNS = ("t", "SP", "IPR", "norm", "variance", "Re S", "Im S")
 
+#: Trajectory rows formatted per chunk: the text of a long run is never held
+#: in memory at once.
+_CSV_CHUNK_ROWS = 4096
+
 
 def fmt(value) -> str:
     """Shortest round-trip representation for floats; plain str otherwise."""
@@ -43,13 +48,13 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -69,13 +74,18 @@ def write_trajectory_csv(traj: Trajectory, path: str,
         params.update(extra_params)
     lines = _header_lines(params)
     lines.append(",".join(TRAJECTORY_COLUMNS))
-    times = traj.grid.times()
-    for i in range(traj.grid.steps + 1):
-        s = traj.collective[i]
-        lines.append(",".join((
-            fmt(times[i]), fmt(traj.sp[i]), fmt(traj.ipr[i]), fmt(traj.norm[i]),
-            fmt(traj.variance[i]), fmt(s.real), fmt(s.imag))))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    columns = (traj.grid.times(), traj.sp, traj.ipr, traj.norm, traj.variance,
+               traj.collective.real, traj.collective.imag)
+    # "%r" of a Python float is its repr, the same text ``fmt`` writes.
+    row = ",".join(["%r"] * len(columns)) + "\n"
+
+    def chunks():
+        yield "\n".join(lines) + "\n"
+        for lo in range(0, traj.grid.steps + 1, _CSV_CHUNK_ROWS):
+            values = zip(*(c[lo:lo + _CSV_CHUNK_ROWS].tolist() for c in columns))
+            yield "".join([row % v for v in values])
+
+    _atomic_write(path, chunks())
 
 
 def write_spectrum_csv(dec: EigenDecomposition, weights: np.ndarray,
@@ -87,7 +97,7 @@ def write_spectrum_csv(dec: EigenDecomposition, weights: np.ndarray,
     for i, energy in enumerate(dec.energies, start=1):
         lines.append(",".join((str(i), fmt(energy), fmt(iprs[i - 1]),
                                fmt(weights[i - 1]))))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def write_pole_csv(poles: list[ResonancePole], path: str,
@@ -99,7 +109,7 @@ def write_pole_csv(poles: list[ResonancePole], path: str,
         lines.append(",".join((
             fmt(pole.energy.real), fmt(pole.energy.imag), fmt(pole.residual),
             fmt(pole.overlap), str(pole.iterations))))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def write_determinant_grid_csv(grid: DeterminantGrid, path: str,
@@ -113,7 +123,7 @@ def write_determinant_grid_csv(grid: DeterminantGrid, path: str,
         for j, x in enumerate(grid.re):
             lines.append(",".join((fmt(x), fmt(y), fmt(grid.log_abs[i, j]),
                                    str(sr[i, j]), str(si[i, j]))))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def sha256_of(path: str) -> str:
@@ -164,5 +174,5 @@ class ManifestBuilder:
             "files": inventory,
         }
         path = os.path.join(self.out_dir, "manifest.json")
-        _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
         return path

@@ -23,7 +23,8 @@ from gaah.config import (
     serialize_values,
 )
 from gaah.errors import ConfigError
-from gaah.output import fmt, sha256_of
+from gaah.dynamics import TimeGrid, Trajectory
+from gaah.output import fmt, sha256_of, write_trajectory_csv
 
 
 def _read_csv(path):
@@ -214,6 +215,27 @@ class TestFmt:
         assert fmt(1.0 / 3.0) == repr(1.0 / 3.0)
         assert fmt(7) == "7"
         assert float(fmt(math.pi)) == math.pi  # round trip
+
+
+class TestTrajectoryCsv:
+    def test_rows_are_fmt_of_every_value(self, tmp_path):
+        # More rows than one formatting chunk, with the special floats.
+        grid = TimeGrid(dt=0.01, steps=5000)
+        rng = np.random.default_rng(3)
+        cols = rng.standard_normal((5, grid.steps + 1))
+        cols[0, :3] = [-0.0, math.nan, math.inf]
+        traj = Trajectory(grid=grid, sp=cols[0], ipr=cols[1], norm=cols[2],
+                          variance=cols[3], collective=cols[4] * (1.0 - 1e-3j),
+                          params={"model.N": 7, "grid.dt": 0.01})
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(traj, str(path), {"note": True})
+        expected = ["# model.N = 7", "# grid.dt = 0.01", "# note = true",
+                    "t,SP,IPR,norm,variance,Re S,Im S"]
+        for i, t in enumerate(grid.times()):
+            s = traj.collective[i]
+            expected.append(",".join(fmt(v) for v in (
+                t, cols[0, i], cols[1, i], cols[2, i], cols[3, i], s.real, s.imag)))
+        assert path.read_text() == "\n".join(expected) + "\n"
 
 
 class TestCliEvolve:

@@ -2,25 +2,32 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gaah.dynamics import (
+    HISTORY_BLOCK,
+    NORM_BLOWUP,
     TimeGrid,
+    _product_tables,
+    _trapezoid_tables,
     beat_envelope,
     convergence_check,
     dominant_period,
     evolve,
     ipr,
     memory_rhs,
+    observables,
     position_variance,
     survival_probability,
 )
 from gaah.bath import BathParams
 from gaah.errors import ParameterError, UnstableEvolutionError
-from gaah.model import ModelParams, state_ipr
+from gaah.model import ModelParams, build_hamiltonian, diagonalize, state_ipr
 
 DECOUPLED = BathParams(eta=0.0)
 
@@ -84,6 +91,26 @@ class TestObservables:
     def test_variance_zero_vector(self):
         with pytest.raises(ParameterError, match="zero vector"):
             position_variance(np.zeros(4, dtype=complex))
+
+    def test_vectorized_rows_match_scalar_functions(self, es_state):
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((40, 21)) + 1j * rng.standard_normal((40, 21))
+        rows *= rng.uniform(0.01, 1.0, size=(40, 1)) / np.linalg.norm(rows, axis=1)[:, None]
+        rows[0] = es_state
+        rows[1] = 0.0
+        rows[1, 4] = 0.3j   # a single site: zero variance
+        values = observables(rows, es_state)
+        for i, a in enumerate(rows):
+            scalar = {"sp": survival_probability(a, es_state), "ipr": ipr(a),
+                      "norm": float(np.vdot(a, a).real),
+                      "variance": position_variance(a)}
+            for name, expected in scalar.items():
+                assert values[name][i] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_vectorized_zero_row(self, es_state):
+        rows = np.vstack([es_state, np.zeros_like(es_state)])
+        with pytest.raises(ParameterError, match="zero vector"):
+            observables(rows, es_state)
 
     @given(st.integers(2, 30))
     def test_memory_rhs_site_independent(self, n):
@@ -220,6 +247,99 @@ class TestEvolveCoupled:
         mark = evolve(model, bath, es_state, grid, markovian=True)
         assert np.max(mark.norm) <= 1.0 + 1e-6
         assert np.max(np.abs(full.sp - mark.sp)) > 1e-4
+
+
+def _direct_evolve(model, bath, init, grid, kernel_rule="product", memory_window=None,
+                   kernel_omega_max=math.inf):
+    """Reference stepper with the direct O(n^2) history convolution.
+
+    Each step takes C_m and the endpoint-free c_hist from two full-length dot
+    products over the stored history, and records SP and the norm with the
+    scalar observables; same quadrature and implicit stage as ``evolve``.
+    """
+    if kernel_rule == "trapezoid":
+        W, T = _trapezoid_tables(bath, grid.dt, grid.steps, kernel_omega_max)
+    else:
+        W, T = _product_tables(bath, grid.dt, grid.steps)
+    Wrev = W[::-1].copy()
+    L = grid.steps
+    max_lag = None
+    if memory_window is not None and memory_window > 0.0:
+        max_lag = max(1, int(round(memory_window / grid.dt)))
+
+    def conv(S, q, m_hist, S_end=None):
+        # C at time index q from S[0..m_hist]; with S_end, q == m_hist + 1.
+        if q == 0:
+            return 0.0 + 0.0j
+        lo = 0 if max_lag is None else max(0, q - max_lag)
+        if S_end is None:
+            c = np.dot(S[lo:q + 1], Wrev[L - (q - lo):L + 1])
+        else:
+            c = np.dot(S[lo:m_hist + 1], Wrev[L - (q - lo):L]) + S_end * W[0]
+        if lo == 0:
+            c += S[0] * (T[q] - W[q])
+        return c
+
+    dec = diagonalize(build_hamiltonian(model))
+    dt = grid.dt
+    P = (dec.states * np.exp(-1j * dec.energies * dt)) @ dec.states.T
+    ones = np.ones(model.N, dtype=complex)
+    P_ones = P @ ones
+    alpha = np.asarray(init, dtype=complex).copy()
+    S = np.zeros(grid.steps + 1, dtype=complex)
+    S[0] = alpha.sum()
+    sp = np.empty(grid.steps + 1)
+    norm = np.empty(grid.steps + 1)
+    sp[0] = survival_probability(alpha, init)
+    norm[0] = float(np.vdot(alpha, alpha).real)
+    for m in range(grid.steps):
+        C_m = conv(S, m, m)
+        c_hist = conv(S, m + 1, m, S_end=0.0)
+        A = P @ alpha - 0.5 * dt * C_m * P_ones
+        S_new = (A.sum() - 0.5 * dt * model.N * c_hist) / (1.0 + 0.5 * dt * model.N * W[0])
+        alpha = A - 0.5 * dt * (c_hist + W[0] * S_new) * ones
+        nsq = float(np.vdot(alpha, alpha).real)
+        if nsq > NORM_BLOWUP:
+            raise UnstableEvolutionError(m + 1, nsq)
+        S[m + 1] = alpha.sum()
+        sp[m + 1] = survival_probability(alpha, init)
+        norm[m + 1] = nsq
+    return sp, norm
+
+
+B = HISTORY_BLOCK
+
+
+class TestBlockedHistory:
+    """The blocked FFT history against the direct convolution."""
+
+    @pytest.mark.parametrize("steps, kw", [
+        (B - 1, {}),
+        (B, {}),
+        (B + 1, {}),
+        (3 * B + 7, {}),
+        (3 * B + 7, {"kernel_rule": "trapezoid"}),
+        (3 * B + 7, {"memory_window": 5.0}),     # 500 lags, within one block
+        (3 * B + 7, {"memory_window": 30.0}),    # 3000 lags, past one block
+        (3 * B + 7, {"kernel_rule": "trapezoid", "kernel_omega_max": 80.0}),
+    ])
+    def test_matches_direct_convolution(self, model, bath, es_state, steps, kw):
+        grid = TimeGrid(dt=0.01, steps=steps)
+        traj = evolve(model, bath, es_state, grid, **kw)
+        sp, norm = _direct_evolve(model, bath, es_state, grid, **kw)
+        assert np.max(np.abs(traj.sp - sp)) <= 1e-12
+        assert np.max(np.abs(traj.norm - norm)) <= 1e-12
+
+    def test_blowup_at_the_direct_step(self, model, bath, es_state):
+        # At dt = 0.002 the half-cutoff window pumps norm past the bound
+        # after the first block boundary.
+        grid = TimeGrid.from_t_max(0.002, 10.0)
+        with pytest.raises(UnstableEvolutionError) as direct:
+            _direct_evolve(model, bath, es_state, grid, memory_window=0.5)
+        with pytest.raises(UnstableEvolutionError) as blocked:
+            evolve(model, bath, es_state, grid, memory_window=0.5)
+        assert direct.value.step > B
+        assert blocked.value.step == direct.value.step
 
 
 class TestConvergence:
