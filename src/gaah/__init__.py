@@ -65,7 +65,6 @@ from .spectrum import (
     PoleSearchRegion,
     ResonancePole,
     char_determinant,
-    char_determinant_lemma_scaled,
     char_determinant_scaled,
     collective_weights,
     default_search_region,

@@ -166,7 +166,8 @@ def _dispersive_part(eta: float, omega_c: float, s: float, x: float) -> float:
     else:
         jx = spectral_density(b, x)
         slope = _spectral_density_slope(b, x)
-        h = 1e-5 * (1.0 + x)
+        # The stencil must stay at w > 0, where w**(s-1) is real for any s.
+        h = min(1e-5 * (1.0 + x), 0.5 * x)
         curv = (_spectral_density_slope(b, x + h) - _spectral_density_slope(b, x - h)) / (2.0 * h)
 
         def subtracted(w):
@@ -206,9 +207,9 @@ def self_energy(b: BathParams, E: complex,
     return value
 
 
-def self_energy_closed_form(b: BathParams, E: complex,
+def self_energy_closed_form(b: BathParams, E,
                             p: ResiduePrescription = ResiduePrescription.HALF,
-                            continue_in_E: bool = False) -> complex:
+                            continue_in_E: bool = False):
     """Exponential-integral closed form of the s = 1 self-energy.
 
     For real E the principal-value part reduces to
@@ -218,27 +219,31 @@ def self_energy_closed_form(b: BathParams, E: complex,
     which serves as an independent check of the subtraction quadrature.  With
     ``continue_in_E`` the same expression is evaluated at complex E (with the
     residue term built from the analytically continued spectral density), a
-    sensitivity knob for the real-axis working definition.
+    sensitivity knob for the real-axis working definition.  Accepts scalar
+    or array ``E``; a scalar gives a complex.
     """
     if b.s != 1.0:
         raise ParameterError("closed form is available for s = 1 only")
+    # [()] makes a scalar E a numpy scalar, whose arithmetic costs far less
+    # than that of a 0-d array; an array E passes through unchanged.
+    z = np.asarray(E, dtype=complex)[()]
+    if not continue_in_E:
+        z = z.real.astype(complex)
     if b.eta == 0.0:
-        return 0.0 + 0.0j
-    z = complex(E) if continue_in_E else complex(float(np.real(E)))
-    if abs(z.real) > ENERGY_GUARD_MULTIPLE * b.omega_c:
+        return np.zeros_like(z) if np.ndim(z) else 0.0 + 0.0j
+    x = z.real
+    if (np.abs(x) > ENERGY_GUARD_MULTIPLE * b.omega_c).any():
+        worst = float(np.abs(x).max())
         raise ParameterError(
-            f"Re(E) = {z.real} outside guard range +-{ENERGY_GUARD_MULTIPLE * b.omega_c}"
+            f"Re(E) = {worst} outside guard range +-{ENERGY_GUARD_MULTIPLE * b.omega_c}"
         )
     u = z / b.omega_c
-    if z == 0.0:
-        disp = -b.eta * b.omega_c
-    else:
-        disp = b.eta * (z * np.exp(-u) * expi(u) - b.omega_c)
-    value = complex(disp)
-    if z.real > 0.0:
-        j = b.eta * z * np.exp(-u) if continue_in_E else spectral_density(b, z.real)
-        value -= 1j * p.residue_factor * j
-    return value
+    decay = np.exp(-u)
+    # At z = 0 the product is 0 (expi(0) is infinite), leaving -eta * omega_c.
+    disp = b.eta * (z * decay * expi(np.where(z == 0.0, 1.0, u)) - b.omega_c)
+    j = b.eta * z * decay if continue_in_E else spectral_density(b, np.maximum(x, 0.0))
+    value = disp - 1j * p.residue_factor * j * (x > 0.0)
+    return value if np.ndim(value) else complex(value)
 
 
 class SigmaMode(enum.Enum):
@@ -262,16 +267,19 @@ class SigmaMode(enum.Enum):
         return SigmaMode.CONTINUED if b.s == 1.0 else SigmaMode.REAL_AXIS
 
 
-def self_energy_eval(b: BathParams, E: complex,
+def self_energy_eval(b: BathParams, E,
                      p: ResiduePrescription = ResiduePrescription.HALF,
-                     mode: SigmaMode = SigmaMode.AUTO) -> complex:
-    """Self-energy at (possibly complex) E under the chosen evaluation mode."""
+                     mode: SigmaMode = SigmaMode.AUTO):
+    """Self-energy at (possibly complex) E under the chosen evaluation mode.
+    The continued mode also takes an array of E."""
     mode = mode.resolve(b)
     if mode is SigmaMode.REAL_AXIS:
         return self_energy(b, E, p)
     if b.s != 1.0:
         raise ParameterError("continued self-energy requires s = 1")
-    if b.eta != 0.0 and complex(E).real <= 0.0:
+    lowest = np.asarray(E).real.min()
+    if b.eta != 0.0 and lowest <= 0.0:
         raise ParameterError(
-            f"continued self-energy needs Re(E) > 0, got {E}; use REAL_AXIS")
+            f"continued self-energy needs Re(E) > 0, got Re(E) = {float(lowest)}; "
+            "use REAL_AXIS")
     return self_energy_closed_form(b, E, p, continue_in_E=True)

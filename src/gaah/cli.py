@@ -23,7 +23,8 @@ from ``--out``, else the ``GAAH_OUT`` environment variable, else the
 sha256 per output file.
 
 Exit codes: 0 success, 2 configuration or parameter error, 3 numerical
-failure, 4 validation mismatch.
+failure, 4 validation mismatch.  Any other exception propagates after the
+manifest is written with status ``error``.
 """
 
 from __future__ import annotations
@@ -305,6 +306,12 @@ def main(argv: list[str] | None = None) -> int:
         manifest.add_task(args.command, "numeric-failure", str(exc))
         manifest.write(status="numeric-failure")
         return 3
+    except BaseException as exc:
+        # Unmapped (OSError, BrokenProcessPool, KeyboardInterrupt, ...): record
+        # the run, then let the exception end it as it would have.
+        manifest.add_task(args.command, "error", f"{type(exc).__name__}: {exc}")
+        manifest.write(status="error")
+        raise
     manifest.write(status="ok")
     return code
 

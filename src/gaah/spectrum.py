@@ -15,17 +15,23 @@ variant makes det M smooth but *not* holomorphic in E, so root finding
 treats (Re E, Im E) as two real unknowns with a full 2x2 Jacobian from
 central differences; that iteration handles the continued variant as well.
 
-Two independent evaluation routes are kept side by side on purpose:
+Everything is evaluated from one eigendecomposition H_S = sum_m lambda_m
+u_m u_m^T.  Because U = |1><1| has rank one,
 
-* ``char_determinant_scaled``       -- LU factorization of the full matrix;
-* ``char_determinant_lemma_scaled`` -- rank-one update formula
-  det M = det(H_S - E) * (1 + Sigma(E) * g(E)) with
-  g(E) = sum_m w_m / (lambda_m - E) and w_m the squared collective weight
-  of eigenvector m.
+    det M(E) = prod_m (lambda_m - E) * F(E),    F(E) = 1 + Sigma(E) * g(E),
+    g(E) = <1| (H_S - E)^{-1} |1> = sum_m w_m / (lambda_m - E),
 
-They agree to roundoff and cross-validate each other in the tests, as do
-``refine_pole`` (Newton on the determinant) and ``self_consistent_pole``
-(fixed-point iteration on the dressed eigenproblem).
+with w_m = (u_m . 1)^2 the collective weight of eigenstate m: the secular
+equation of a rank-one update of a symmetric matrix (Bunch, Nielsen &
+Sorensen, Numer. Math. 31, 1978).  At a zero of F the mode vector is
+(H_S - E)^{-1} |1>, which M maps to F |1> = 0.  A search therefore
+diagonalizes once and hands the EigenDecomposition down through the ``dec``
+keyword; a determinant costs O(N) per point.
+
+The dense LU determinant and inverse iteration for the null vector live in
+the tests as independent oracles.  ``self_consistent_pole`` (fixed-point
+iteration on the dressed eigenproblem) stays here as the public cross-check
+of refined poles.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bath import BathParams, ResiduePrescription, SigmaMode, self_energy_eval
 from .errors import NumericsError, ParameterError, PrescriptionViolationError
@@ -62,32 +67,50 @@ def characteristic_matrix(model: ModelParams, bath: BathParams, energy: complex,
     return M
 
 
-def _scaled_det_from_lu(lu: np.ndarray, piv: np.ndarray) -> tuple[float, complex]:
-    diag = np.diag(lu)
-    mags = np.abs(diag)
-    if np.any(mags == 0.0):
-        return -math.inf, 1.0 + 0.0j
-    log_abs = float(np.sum(np.log(mags)))
-    phase = complex(np.prod(diag / mags))
-    # each row interchange flips the determinant sign
-    swaps = int(np.sum(piv != np.arange(len(piv))))
-    if swaps % 2:
-        phase = -phase
+def _decomposition(model: ModelParams,
+                   dec: EigenDecomposition | None) -> EigenDecomposition:
+    return dec if dec is not None else diagonalize(build_hamiltonian(model))
+
+
+def _secular_scaled(dec: EigenDecomposition, energy: np.ndarray,
+                    sigma) -> tuple[np.ndarray, np.ndarray]:
+    """(ln|det M|, det M / |det M|) at each E of the 1-d array ``energy``,
+    with Sigma there given as a scalar or per point.
+
+    Where E sits exactly on a level, the vanishing factor lambda_m - E is
+    multiplied into F, which leaves Sigma * w_m for a single level and 0 for
+    a degenerate one.  A zero determinant reads (-inf, 1).
+    """
+    z = dec.energies - energy[:, None]
+    hit = z == 0.0
+    z[hit] = 1.0
+    w = collective_weights(dec)
+    F = np.where(hit.any(axis=1),
+                 sigma * (hit @ w) * (hit.sum(axis=1) == 1),
+                 1.0 + sigma * (w / z).sum(axis=1))
+    F_abs = np.abs(F)
+    zero = F_abs == 0.0
+    F_abs[zero] = 1.0
+    mags = np.abs(z)
+    log_abs = np.log(mags).sum(axis=1) + np.log(F_abs)
+    phase = (z / mags).prod(axis=1) * (F / F_abs)
+    log_abs[zero] = -math.inf
+    phase[zero] = 1.0
     return log_abs, phase
 
 
 def char_determinant_scaled(model: ModelParams, bath: BathParams, energy: complex,
                             prescription: ResiduePrescription = ResiduePrescription.HALF,
                             sigma_mode: SigmaMode = SigmaMode.AUTO,
+                            dec: EigenDecomposition | None = None,
                             ) -> tuple[float, complex]:
     """det M(E) in scaled form (log_abs, phase) with det = exp(log_abs) * phase
-    and |phase| = 1, so grid scans over 21 sites never overflow."""
-    M = characteristic_matrix(model, bath, energy, prescription, sigma_mode)
-    try:
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericsError(f"LU factorization failed at E = {energy}: {exc}") from exc
-    return _scaled_det_from_lu(lu, piv)
+    and |phase| = 1, so grid scans over 21 sites never overflow.  From the
+    secular form, log_abs = sum_m ln|lambda_m - E| + ln|F(E)|."""
+    dec = _decomposition(model, dec)
+    sigma = self_energy_eval(bath, energy, prescription, sigma_mode)
+    log_abs, phase = _secular_scaled(dec, np.array([complex(energy)]), sigma)
+    return float(log_abs[0]), complex(phase[0])
 
 
 def char_determinant(model: ModelParams, bath: BathParams, energy: complex,
@@ -108,31 +131,6 @@ def collective_resolvent(dec: EigenDecomposition, energy: complex) -> complex:
     """g(E) = <1| (H_S - E)^{-1} |1> = sum_m w_m / (lambda_m - E)."""
     w = collective_weights(dec)
     return complex(np.sum(w / (dec.energies - energy)))
-
-
-def char_determinant_lemma_scaled(model: ModelParams, bath: BathParams, energy: complex,
-                                  prescription: ResiduePrescription = ResiduePrescription.HALF,
-                                  sigma_mode: SigmaMode = SigmaMode.AUTO,
-                                  dec: EigenDecomposition | None = None,
-                                  ) -> tuple[float, complex]:
-    """Independent determinant route via the rank-one update of det(H_S - E)."""
-    if dec is None:
-        dec = diagonalize(build_hamiltonian(model))
-    sigma = self_energy_eval(bath, energy, prescription, sigma_mode)
-    factor = 1.0 + sigma * collective_resolvent(dec, energy)
-    log_abs = 0.0
-    phase = 1.0 + 0.0j
-    for lam in dec.energies:
-        z = lam - energy
-        r = abs(z)
-        if r == 0.0:
-            return -math.inf, 1.0 + 0.0j
-        log_abs += math.log(r)
-        phase *= z / r
-    r = abs(factor)
-    if r == 0.0:
-        return -math.inf, 1.0 + 0.0j
-    return log_abs + math.log(r), phase * factor / r
 
 
 @dataclass(frozen=True)
@@ -217,31 +215,27 @@ class DeterminantGrid:
 def scan_grid(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
               n_re: int = 200, n_im: int = 80,
               prescription: ResiduePrescription = ResiduePrescription.HALF,
-              sigma_mode: SigmaMode = SigmaMode.AUTO) -> DeterminantGrid:
-    """Sample ln|det M(E)| over the region.  Under the real-axis mode the
-    self-energy depends only on Re(E), so each of the n_re columns costs one
-    dispersive integral; the continued mode is cheap enough per point."""
+              sigma_mode: SigmaMode = SigmaMode.AUTO,
+              dec: EigenDecomposition | None = None) -> DeterminantGrid:
+    """Sample ln|det M(E)| over the region, one row of constant Im E at a
+    time.  Under the real-axis mode the self-energy depends only on Re(E),
+    so each of the n_re columns costs one dispersive integral; the continued
+    mode takes the closed form for a whole row at once."""
     if n_re < 2 or n_im < 2:
         raise ParameterError("grid needs at least 2 points per axis")
+    dec = _decomposition(model, dec)
     mode = sigma_mode.resolve(bath)
     re = np.linspace(region.re_min, region.re_max, n_re)
     im = np.linspace(region.im_min, region.im_max, n_im)
-    H = build_hamiltonian(model).matrix.astype(complex)
-    U = np.ones((model.N, model.N), dtype=complex)
+    if mode is SigmaMode.REAL_AXIS:
+        sigma = np.array([self_energy_eval(bath, x, prescription, mode) for x in re])
     out = np.empty((n_im, n_re))
     ph = np.empty((n_im, n_re), dtype=complex)
-    for j, x in enumerate(re):
-        if mode is SigmaMode.REAL_AXIS:
-            base = H + self_energy_eval(bath, x, prescription, mode) * U
-        for i, y in enumerate(im):
-            E = complex(x, y)
-            if mode is SigmaMode.REAL_AXIS:
-                M = base.copy()
-            else:
-                M = H + self_energy_eval(bath, E, prescription, mode) * U
-            M[np.diag_indices(model.N)] -= E
-            lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-            out[i, j], ph[i, j] = _scaled_det_from_lu(lu, piv)
+    for i, y in enumerate(im):
+        E = re + 1j * y
+        if mode is not SigmaMode.REAL_AXIS:
+            sigma = self_energy_eval(bath, E, prescription, mode)
+        out[i], ph[i] = _secular_scaled(dec, E, sigma)
     return DeterminantGrid(re=re, im=im, log_abs=out, phase=ph)
 
 
@@ -249,24 +243,25 @@ def grid_minima(grid: DeterminantGrid) -> list[complex]:
     """Interior strict local minima of ln|det|, sorted from deepest up; these
     seed the Newton refinement."""
     A = grid.log_abs
-    seeds = []
-    for i in range(1, A.shape[0] - 1):
-        for j in range(1, A.shape[1] - 1):
-            c = A[i, j]
-            neigh = np.concatenate([
-                A[i - 1, j - 1:j + 2], A[i + 1, j - 1:j + 2],
-                A[i, j - 1:j], A[i, j + 1:j + 2],
-            ])
-            if np.all(c < neigh):
-                seeds.append((c, complex(grid.re[j], grid.im[i])))
-    seeds.sort(key=lambda t: t[0])
-    return [e for _, e in seeds]
+    n_im, n_re = A.shape
+    c = A[1:-1, 1:-1]
+    strict = np.ones(c.shape, dtype=bool)
+    for di in range(3):
+        for dj in range(3):
+            if (di, dj) != (1, 1):
+                strict &= c < A[di:n_im - 2 + di, dj:n_re - 2 + dj]
+    i, j = np.nonzero(strict)
+    # a stable sort keeps equal depths in row-major order
+    order = np.argsort(c[i, j], kind="stable")
+    return [complex(grid.re[jj + 1], grid.im[ii + 1])
+            for ii, jj in zip(i[order], j[order])]
 
 
 def perturbative_pole_seeds(model: ModelParams, bath: BathParams,
                             region: PoleSearchRegion | None = None,
                             prescription: ResiduePrescription = ResiduePrescription.HALF,
-                            sigma_mode: SigmaMode = SigmaMode.AUTO) -> list[complex]:
+                            sigma_mode: SigmaMode = SigmaMode.AUTO,
+                            dec: EigenDecomposition | None = None) -> list[complex]:
     """Pole estimates from the rank-one structure, one per eigenstate.
 
     Near lambda_m the zero condition 1 + Sigma * g(E) = 0 gives
@@ -285,7 +280,7 @@ def perturbative_pole_seeds(model: ModelParams, bath: BathParams,
     basin for the Newton polish even where the per-state estimate drifts to
     a neighbouring gap.
     """
-    dec = diagonalize(build_hamiltonian(model))
+    dec = _decomposition(model, dec)
     w = collective_weights(dec)
     lam = dec.energies
     seeds = []
@@ -318,31 +313,31 @@ class ResonancePole:
     residual: float        # |det| / exp(common scale) at the solution
 
 
-def _det_value(model, bath, E, prescription, sigma_mode, scale):
-    log_abs, phase = char_determinant_scaled(model, bath, E, prescription, sigma_mode)
+def _det_value(model, bath, E, prescription, sigma_mode, scale, dec):
+    log_abs, phase = char_determinant_scaled(model, bath, E, prescription, sigma_mode,
+                                             dec=dec)
     return cmath.exp(log_abs - scale) * phase
 
 
 def null_vector(model: ModelParams, bath: BathParams, energy: complex,
                 prescription: ResiduePrescription = ResiduePrescription.HALF,
                 sigma_mode: SigmaMode = SigmaMode.AUTO,
-                sweeps: int = 3) -> np.ndarray:
-    """Null direction of M(E) by inverse iteration, started from the H_S
-    eigenvector nearest Re(E)."""
-    dec = diagonalize(build_hamiltonian(model))
-    k = int(np.argmin(np.abs(dec.energies - energy.real)))
-    v = dec.states[:, k].astype(complex)
-    M = characteristic_matrix(model, bath, energy, prescription, sigma_mode)
-    try:
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-        for _ in range(sweeps):
-            v = scipy.linalg.lu_solve((lu, piv), v, check_finite=False)
-            v /= np.linalg.norm(v)
-    except scipy.linalg.LinAlgError:
-        # exactly singular: fall back to the smallest singular direction
-        _, _, vh = np.linalg.svd(M)
-        v = vh[-1].conj()
-    # fix the overall phase: largest component real positive
+                dec: EigenDecomposition | None = None) -> np.ndarray:
+    """Normalized null direction of M(E) at a pole E,
+
+        v ~ (H_S - E)^{-1} |1> = sum_m u_m (u_m . 1) / (lambda_m - E),
+
+    for which M v = F(E) |1> vanishes.  With the bath off, or with E exactly
+    on a level, it is the H_S eigenvector nearest Re(E).  The overall phase
+    makes the largest component real positive."""
+    dec = _decomposition(model, dec)
+    z = dec.energies - energy
+    if bath.eta == 0.0 or np.any(z == 0.0):
+        k = int(np.argmin(np.abs(dec.energies - energy.real)))
+        v = dec.states[:, k].astype(complex)
+    else:
+        v = dec.states @ (dec.states.sum(axis=0) / z)
+        v /= np.linalg.norm(v)
     k = int(np.argmax(np.abs(v)))
     v *= np.exp(-1j * np.angle(v[k]))
     return v
@@ -359,7 +354,8 @@ def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
                 prescription: ResiduePrescription = ResiduePrescription.HALF,
                 sigma_mode: SigmaMode = SigmaMode.AUTO,
                 reference: np.ndarray | None = None,
-                tol: float = 1e-12, max_iter: int = 100) -> ResonancePole:
+                tol: float = 1e-12, max_iter: int = 100,
+                dec: EigenDecomposition | None = None) -> ResonancePole:
     """Drive det M(E) to zero by a damped 2D Newton iteration in
     (Re E, Im E).
 
@@ -372,6 +368,7 @@ def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
     Raises PrescriptionViolationError if the converged pole sits above the
     real axis by more than the clamping threshold.
     """
+    dec = _decomposition(model, dec)
     x, y = float(seed.real), float(seed.imag)
     it = 0
     converged = False
@@ -380,7 +377,8 @@ def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
         h = 1e-7 * (1.0 + math.hypot(x, y))
         pts = [complex(x, y), complex(x + h, y), complex(x - h, y),
                complex(x, y + h), complex(x, y - h)]
-        scaled = [char_determinant_scaled(model, bath, E, prescription, sigma_mode)
+        scaled = [char_determinant_scaled(model, bath, E, prescription, sigma_mode,
+                                          dec=dec)
                   for E in pts]
         scale = max(la for la, _ in scaled)
         if scale == -math.inf:
@@ -404,7 +402,7 @@ def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
         for _ in range(6):
             xn, yn = x + lam_bt * step[0], y + lam_bt * step[1]
             Dn = _det_value(model, bath, complex(xn, yn), prescription, sigma_mode,
-                            scale)
+                            scale, dec)
             if abs(Dn) <= resid or lam_bt < 0.05:
                 break
             lam_bt *= 0.5
@@ -417,9 +415,9 @@ def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
     if 0.0 < y <= IM_CLAMP:
         y = 0.0
     energy = complex(x, y)
-    vec = null_vector(model, bath, energy, prescription, sigma_mode)
+    vec = null_vector(model, bath, energy, prescription, sigma_mode, dec=dec)
     if reference is None:
-        reference = highest_excited_state(diagonalize(build_hamiltonian(model)))
+        reference = highest_excited_state(dec)
     return ResonancePole(
         energy=energy,
         vector=vec,
@@ -467,18 +465,22 @@ def find_poles(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
                cluster_tol: float = 1e-6) -> list[ResonancePole]:
     """Locate all poles in a region: grid scan for minima, resummed
     eigenstate seeds for doublets a coarse grid would merge, Newton polish,
-    then cluster duplicates.  Sorted by descending Re(E)."""
-    grid = scan_grid(model, bath, region, n_re, n_im, prescription, sigma_mode)
+    then cluster duplicates.  Sorted by descending Re(E).  H_S is
+    diagonalized once for the whole search."""
+    dec = diagonalize(build_hamiltonian(model))
+    grid = scan_grid(model, bath, region, n_re, n_im, prescription, sigma_mode,
+                     dec=dec)
     seeds = grid_minima(grid)
-    seeds += perturbative_pole_seeds(model, bath, region, prescription, sigma_mode)
+    seeds += perturbative_pole_seeds(model, bath, region, prescription, sigma_mode,
+                                     dec=dec)
     if extra_seeds:
         seeds += list(extra_seeds)
-    reference = highest_excited_state(diagonalize(build_hamiltonian(model)))
+    reference = highest_excited_state(dec)
     poles: list[ResonancePole] = []
     for seed in seeds:
         try:
             pole = refine_pole(model, bath, seed, prescription, sigma_mode,
-                               reference=reference)
+                               reference=reference, dec=dec)
         except (ParameterError, NumericsError, PrescriptionViolationError):
             continue
         if not pole.converged:

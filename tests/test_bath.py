@@ -17,6 +17,7 @@ from scipy.integrate import quad
 
 from gaah.bath import (
     BathParams,
+    _dispersive_part,
     ResiduePrescription,
     SigmaMode,
     memory_kernel,
@@ -207,6 +208,30 @@ class TestSelfEnergy:
             self_energy(bath, 150.0)
         with pytest.raises(ParameterError, match="guard"):
             self_energy_closed_form(bath, -150.0)
+
+    @pytest.mark.parametrize("continue_in_E", [False, True])
+    def test_closed_form_array_matches_scalar_calls(self, bath, continue_in_E):
+        E = np.array([[-5.0, 0.0, 1e-6 - 0.1j], [2.9522 - 1e-5j, 6.0 + 0.2j, 99.0]])
+        out = self_energy_closed_form(bath, E, FULL, continue_in_E)
+        assert out.shape == E.shape
+        for e, value in zip(E.ravel(), out.ravel()):
+            expected = self_energy_closed_form(bath, complex(e), FULL, continue_in_E)
+            assert value == pytest.approx(expected, rel=1e-15, abs=1e-15)
+
+    def test_closed_form_array_guards(self, bath):
+        with pytest.raises(ParameterError, match="guard"):
+            self_energy_closed_form(bath, np.array([1.0, 150.0]))
+        with pytest.raises(ParameterError, match="Re"):
+            self_energy_eval(bath, np.array([1.0, -0.1 - 1e-3j]), HALF,
+                             SigmaMode.CONTINUED)
+
+    @pytest.mark.parametrize("s", [0.5, 1.5])
+    def test_dispersive_part_at_clipped_window_edge(self, s):
+        # The default pole window starts at Re E = 1e-6; the curvature
+        # stencil there must not reach w < 0, where w**(s-1) is complex.
+        value = _dispersive_part(0.1, 10.0, s, 1e-6)
+        assert isinstance(value, float)
+        assert math.isfinite(value)
 
     def test_real_part_continuous_at_zero(self, bath):
         below = self_energy(bath, -1e-4, HALF)

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gaah.bath import ResiduePrescription, SigmaMode
+from gaah import cli
 from gaah.cli import main
 from gaah.config import (
     REGISTRY,
@@ -317,6 +318,18 @@ class TestCliErrors:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "config-error"
 
+    def test_unexpected_exception_writes_manifest_and_propagates(
+            self, tmp_path, monkeypatch):
+        def broken(cfg, out_dir, manifest):
+            raise RuntimeError("disk vanished")
+
+        monkeypatch.setitem(cli._HANDLERS, "spectrum", broken)
+        with pytest.raises(RuntimeError, match="disk vanished"):
+            main(["spectrum", "--out", str(tmp_path)])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["tasks"][0]["detail"] == "RuntimeError: disk vanished"
+
     def test_empty_pole_window_is_numeric_failure(self, tmp_path, capsys):
         rc = main(["poles", "--out", str(tmp_path),
                    "--set", "poles.re_min=50", "--set", "poles.re_max=60",
@@ -370,6 +383,14 @@ class TestCliSpectrumPolesSweepFig:
         assert float(rows[0][1]) == pytest.approx(-5.062298e-6, rel=1e-3)
         assert float(rows[0][3]) == pytest.approx(0.498776, abs=1e-4)
         assert float(rows[1][0]) == pytest.approx(2.882305, abs=1e-6)
+
+    def test_poles_non_ohmic_default_window(self, tmp_path, capsys):
+        # Non-integer s takes the real-axis self-energy down to the window's
+        # clipped edge at Re E = 1e-6.
+        rc = main(["poles", "--out", str(tmp_path), "--set", "bath.s=0.5",
+                   "--set", "poles.re_points=24", "--set", "poles.im_points=8"])
+        assert rc == 0
+        assert capsys.readouterr().out.count("E = ") == 2
 
     def test_sweep_names_files_by_value(self, tmp_path, capsys):
         rc = main(["sweep", "--out", str(tmp_path),

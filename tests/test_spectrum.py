@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gaah.bath import BathParams, ResiduePrescription, SigmaMode, self_energy_eval
 from gaah.errors import ParameterError, PrescriptionViolationError
@@ -20,8 +22,8 @@ from gaah.spectrum import (
     PoleSearchRegion,
     ResonancePole,
     char_determinant,
-    char_determinant_lemma_scaled,
     char_determinant_scaled,
+    characteristic_matrix,
     collective_resolvent,
     collective_weights,
     default_search_region,
@@ -45,6 +47,51 @@ POLE_2 = 2.882305 - 5.312399e-5j
 DECOUPLED = BathParams(eta=0.0)
 
 
+def _lu_determinant_scaled(model, bath, E, prescription=HALF,
+                           sigma_mode=SigmaMode.AUTO):
+    """Oracle: det M(E) from a dense LU factorization of M, in the scaled
+    (log|det|, phase) form of char_determinant_scaled."""
+    M = characteristic_matrix(model, bath, E, prescription, sigma_mode)
+    lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
+    diag = np.diag(lu)
+    mags = np.abs(diag)
+    phase = complex(np.prod(diag / mags))
+    # each row interchange flips the determinant sign
+    if int(np.sum(piv != np.arange(len(piv)))) % 2:
+        phase = -phase
+    return float(np.sum(np.log(mags))), phase
+
+
+def _grid_minima_loop(grid):
+    """Oracle: interior strict local minima of ln|det| by a cell loop, sorted
+    from deepest up (a stable sort keeps ties in row-major order)."""
+    A = grid.log_abs
+    seeds = []
+    for i in range(1, A.shape[0] - 1):
+        for j in range(1, A.shape[1] - 1):
+            block = A[i - 1:i + 2, j - 1:j + 2].ravel()
+            if np.all(A[i, j] < np.delete(block, 4)):
+                seeds.append((A[i, j], complex(grid.re[j], grid.im[i])))
+    seeds.sort(key=lambda t: t[0])
+    return [e for _, e in seeds]
+
+
+def _inverse_iteration_null_vector(model, bath, E, prescription=HALF,
+                                   sigma_mode=SigmaMode.AUTO, sweeps=3):
+    """Oracle: null direction of M(E) by inverse iteration, started from the
+    H_S eigenvector nearest Re(E), with null_vector's phase convention."""
+    dec = diagonalize(build_hamiltonian(model))
+    v = dec.states[:, int(np.argmin(np.abs(dec.energies - E.real)))].astype(complex)
+    lu_piv = scipy.linalg.lu_factor(
+        characteristic_matrix(model, bath, E, prescription, sigma_mode),
+        check_finite=False)
+    for _ in range(sweeps):
+        v = scipy.linalg.lu_solve(lu_piv, v, check_finite=False)
+        v /= np.linalg.norm(v)
+    k = int(np.argmax(np.abs(v)))
+    return v * np.exp(-1j * np.angle(v[k]))
+
+
 def _cluster_means(xs, tol=0.02):
     xs = sorted(xs)
     clusters = [[xs[0]]]
@@ -58,14 +105,12 @@ def _cluster_means(xs, tol=0.02):
 
 class TestCharacteristicMatrix:
     def test_decoupled_structure(self, model):
-        from gaah.spectrum import characteristic_matrix
         E = 1.3 - 0.2j
         M = characteristic_matrix(model, DECOUPLED, E)
         H = build_hamiltonian(model).matrix
         assert np.allclose(M, H - E * np.eye(model.N), atol=0)
 
     def test_rank_one_dressing(self, model, bath):
-        from gaah.spectrum import characteristic_matrix
         E = 2.9 - 0.01j
         sigma = self_energy_eval(bath, E, HALF, SigmaMode.CONTINUED)
         M = characteristic_matrix(model, bath, E, HALF, SigmaMode.CONTINUED)
@@ -90,12 +135,30 @@ class TestDeterminant:
 
     @pytest.mark.parametrize("E", [2.9 - 0.01j, 2.5 - 1e-4j, 3.2 - 0.15j])
     def test_lu_vs_rank_one_lemma(self, model, bath, E):
-        # Dual determinant routes: dense LU against the rank-one update of
-        # the eigenvalue product.  Both scaled as (log|det|, phase).
-        la_lu, ph_lu = char_determinant_scaled(model, bath, E)
-        la_lm, ph_lm = char_determinant_lemma_scaled(model, bath, E)
+        # The secular route (rank-one update of the eigenvalue product)
+        # against the dense LU oracle.  Both scaled as (log|det|, phase).
+        la_lu, ph_lu = _lu_determinant_scaled(model, bath, E)
+        la_lm, ph_lm = char_determinant_scaled(model, bath, E)
         assert la_lu == pytest.approx(la_lm, abs=1e-9)
         assert abs(ph_lu - ph_lm) < 1e-9
+
+    @pytest.mark.parametrize("level", [-1, 0])
+    def test_lu_vs_secular_exactly_on_a_level(self, model, bath, eig, level):
+        # g(E) has a pole at every lambda_m, but det M stays finite there.
+        E = complex(eig.energies[level])
+        sigma_mode = SigmaMode.CONTINUED if E.real > 0 else SigmaMode.REAL_AXIS
+        la_lu, ph_lu = _lu_determinant_scaled(model, bath, E, HALF, sigma_mode)
+        la, ph = char_determinant_scaled(model, bath, E, HALF, sigma_mode)
+        assert la == pytest.approx(la_lu, abs=1e-9)
+        assert abs(ph - ph_lu) < 1e-9
+
+    def test_decoupled_zero_exactly_on_a_level(self, model, eig):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            la, ph = char_determinant_scaled(model, DECOUPLED,
+                                             complex(eig.energies[-1]))
+        assert la == -np.inf
+        assert ph == 1.0
 
     def test_conjugate_symmetry_decoupled(self, model):
         # Real symmetric matrix: det(conj E) = conj(det E) exactly.
@@ -208,6 +271,21 @@ class TestScanGrid:
         assert means[0] == pytest.approx(POLE_2.real, abs=0.005)
         assert means[1] == pytest.approx(POLE_1.real, abs=0.005)
 
+    @pytest.mark.parametrize("sigma_mode", [SigmaMode.CONTINUED, SigmaMode.REAL_AXIS])
+    def test_matches_lu_oracle(self, model, bath, fine_window, sigma_mode):
+        grid = scan_grid(model, bath, fine_window, n_re=30, n_im=12,
+                         sigma_mode=sigma_mode)
+        lu = [[_lu_determinant_scaled(model, bath, complex(x, y), HALF, sigma_mode)
+               for x in grid.re] for y in grid.im]
+        log_abs = np.array([[la for la, _ in row] for row in lu])
+        phase = np.array([[ph for _, ph in row] for row in lu])
+        assert np.max(np.abs(grid.log_abs - log_abs)) <= 1e-10
+        # Signs are compared where the component is not lost in roundoff.
+        for part in ("real", "imag"):
+            ours, theirs = getattr(grid.phase, part), getattr(phase, part)
+            clear = np.abs(theirs) > 1e-8
+            assert np.all(np.sign(ours[clear]) == np.sign(theirs[clear]))
+
     def test_decoupled_crossings_at_top_eigenvalue(self, model, eig):
         # Window narrow enough to hold exactly one closed-system level (the
         # next one sits 0.025 below the top).
@@ -217,6 +295,18 @@ class TestScanGrid:
         points = grid.crossing_points()
         assert points
         assert all(abs(p.real - top) < 0.005 for p in points)
+
+    def test_minima_match_loop_oracle(self, model, bath, fine_window):
+        grid = scan_grid(model, bath, fine_window, n_re=120, n_im=48)
+        assert grid_minima(grid) == _grid_minima_loop(grid)
+        # Ties, plateaus and -inf: strictness and order must survive.
+        rng = np.random.default_rng(7)
+        values = rng.integers(0, 4, size=(9, 11)).astype(float)
+        values[4, 5] = -np.inf
+        tied = DeterminantGrid(re=np.arange(11.0), im=np.arange(9.0),
+                               log_abs=values, phase=np.ones((9, 11), complex))
+        assert grid_minima(tied) == _grid_minima_loop(tied)
+        assert len(grid_minima(tied)) >= 3
 
     def test_minima_seed_near_pole(self, model, bath, fine_window):
         grid = scan_grid(model, bath, fine_window, n_re=120, n_im=48)
@@ -240,7 +330,6 @@ class TestRefinePole:
         assert pole.energy.imag == pytest.approx(POLE_2.imag, rel=1e-3)
 
     def test_null_vector_annihilated(self, model, bath):
-        from gaah.spectrum import characteristic_matrix
         pole = refine_pole(model, bath, 2.95 - 1e-5j)
         M = characteristic_matrix(model, bath, pole.energy)
         assert np.linalg.norm(pole.vector) == pytest.approx(1.0, abs=1e-12)
@@ -250,6 +339,18 @@ class TestRefinePole:
         pole = refine_pole(model, DECOUPLED, 2.96 - 1e-3j)
         assert pole.energy.imag == 0.0
         assert pole.energy.real == pytest.approx(float(eig.energies[-1]), abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [2.96 - 1e-3j, None])
+    def test_decoupled_pole_is_top_eigenvector(self, model, eig, seed):
+        # seed None starts exactly on the top level, where g(E) is infinite.
+        top = float(eig.energies[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pole = refine_pole(model, DECOUPLED, complex(top) if seed is None else seed)
+        assert pole.converged
+        assert pole.energy == pytest.approx(top, abs=1e-9)
+        assert np.allclose(pole.vector, eig.states[:, -1], atol=1e-9)
+        assert pole.overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_agrees_with_self_consistent_route(self, model, bath):
         # Independent routes: 2D Newton on det M vs fixed-point iteration on
@@ -346,6 +447,13 @@ class TestOverlapHelpers:
     def test_transition_frequency_accepts_raw_and_refined(self, model, bath):
         p = refine_pole(model, bath, 2.95 - 1e-5j)
         assert transition_frequency(p, p.energy - 0.25) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("seed", [POLE_1, POLE_2])
+    def test_null_vector_matches_inverse_iteration(self, model, bath, seed):
+        E = refine_pole(model, bath, seed).energy
+        v = null_vector(model, bath, E)
+        oracle = _inverse_iteration_null_vector(model, bath, E)
+        assert state_overlap(v, oracle) >= 1.0 - 1e-12
 
     def test_null_vector_phase_convention(self, model, bath):
         v = null_vector(model, bath, POLE_1)
