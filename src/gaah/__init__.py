@@ -12,7 +12,6 @@ from .bath import (
     ResiduePrescription,
     SigmaMode,
     memory_kernel,
-    memory_kernel_integral,
     self_energy,
     self_energy_closed_form,
     self_energy_eval,

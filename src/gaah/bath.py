@@ -105,9 +105,10 @@ def memory_kernel(b: BathParams, t, omega_max: float = math.inf):
     with f(0) = eta * Gamma(s+1) * omega_c**2.  A finite ``omega_max``
     (s = 1 only) truncates the bath at that frequency, which makes the
     kernel physically identical to a mode sampling of [0, omega_max]; the
-    discrete-bath comparison uses this so that it measures solver error
-    rather than the spectral weight above the sampling window.  Accepts
-    scalar or array ``t`` >= 0.
+    discrete-bath comparison runs the integrator on this kernel (through its
+    closed-form product-integration moments) so that it measures solver
+    error rather than the spectral weight above the sampling window.
+    Accepts scalar or array ``t`` >= 0.
     """
     tt = np.asarray(t, dtype=float)
     if np.any(tt < 0.0):
@@ -123,15 +124,6 @@ def memory_kernel(b: BathParams, t, omega_max: float = math.inf):
             raise ParameterError(f"omega_max must be > 0, got {omega_max}")
         zw = z * omega_max
         out = b.eta * (1.0 - np.exp(-zw) * (1.0 + zw)) / z ** 2
-    return out if out.ndim else complex(out)
-
-
-def memory_kernel_integral(b: BathParams, t) -> np.ndarray:
-    """int_0^t f(u) du in closed form; enters the memoryless solver mode."""
-    tt = np.asarray(t, dtype=float)
-    amp = b.eta / b.omega_c ** (b.s - 1.0) * gamma(b.s + 1.0)
-    bb = 1.0 / b.omega_c
-    out = amp * (1j / b.s) * ((1j * tt + bb) ** (-b.s) - bb ** (-b.s))
     return out if out.ndim else complex(out)
 
 

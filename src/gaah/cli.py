@@ -58,6 +58,7 @@ from .output import (
     fmt,
     write_pole_csv,
     write_spectrum_csv,
+    write_summary_csv,
     write_trajectory_csv,
 )
 from .spectrum import (
@@ -146,8 +147,7 @@ def _cmd_spectrum(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> in
 
 
 def _cmd_evolve(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
-    traj = evolve(cfg.model, cfg.bath, cfg.initial_state(), cfg.grid,
-                  **cfg.evolve_kwargs())
+    traj = evolve(cfg.model, cfg.bath, cfg.initial_state(), cfg.grid)
     path = os.path.join(out_dir, "trajectory.csv")
     write_trajectory_csv(traj, path, {"init.state": cfg.values["init.state"]})
     manifest.add_file(path)
@@ -192,9 +192,7 @@ def _cmd_oracle(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
     report = validate_against_oracle(
         cfg.model, cfg.bath, cfg.initial_state(), grid,
         modes=v["oracle.modes"], omega_max=v["oracle.omega_max"],
-        threshold=v["oracle.threshold"],
-        consistent_truncation=v["oracle.consistent_truncation"],
-        method=v["oracle.method"], **cfg.evolve_kwargs())
+        threshold=v["oracle.threshold"])
     status = "ok" if report.passed else "mismatch"
     manifest.add_task("oracle", status,
                       f"max |dSP| = {report.max_sp_deviation:.3e}")
@@ -212,8 +210,7 @@ def _sweep_point(serialized: str, key: str, value: float, out_dir: str) -> dict:
     """Run one sweep point in a worker process and write its trajectory."""
     raw = str(int(value)) if REGISTRY[key].kind == "int" else repr(float(value))
     cfg = parse_config(serialized, source="<sweep>", overrides=[f"{key}={raw}"])
-    traj = evolve(cfg.model, cfg.bath, cfg.initial_state(), cfg.grid,
-                  **cfg.evolve_kwargs())
+    traj = evolve(cfg.model, cfg.bath, cfg.initial_state(), cfg.grid)
     short = key.split(".", 1)[1]
     path = os.path.join(out_dir, f"sweep_{short}{value:g}.csv")
     write_trajectory_csv(traj, path, {"sweep.parameter": key})
@@ -243,17 +240,16 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
             rows.append(future.result())
     rows.sort(key=lambda r: r["value"])
     short = key.split(".", 1)[1]
-    summary_lines = [f"{short},t_end,SP_end,IPR_end,norm_end"]
+    summary_rows = []
     for row in rows:
         manifest.add_file(row["path"])
-        summary_lines.append(",".join((
-            fmt(row["value"]), fmt(cfg.grid.t_max), fmt(row["SP_end"]),
-            fmt(row["IPR_end"]), fmt(row["norm_end"]))))
+        summary_rows.append({short: row["value"], "t_end": cfg.grid.t_max,
+                             "SP_end": row["SP_end"], "IPR_end": row["IPR_end"],
+                             "norm_end": row["norm_end"]})
         print(f"{key} = {row['value']:g}: SP({cfg.grid.t_max:g}) = "
               f"{fmt(row['SP_end'])}")
     summary = os.path.join(out_dir, "sweep_summary.csv")
-    from .output import _atomic_write
-    _atomic_write(summary, ["\n".join(summary_lines) + "\n"])
+    write_summary_csv(summary_rows, summary)
     manifest.add_file(summary)
     manifest.add_task("sweep", "ok", f"{len(rows)} points over {key}")
     return 0

@@ -104,7 +104,7 @@ class KeySpec:
 
 
 def _positive(v) -> bool:
-    return v is None or v > 0
+    return v > 0
 
 
 _KEYS = [
@@ -131,16 +131,6 @@ _KEYS = [
             check=_positive, constraint="must be > 0"),
     KeySpec("init.state", "str", "es",
             "initial state: es (highest excited), uniform, or site:<n>"),
-    KeySpec("solver.kernel_rule", "choice", "product",
-            "memory-integral discretization", choices=("product", "trapezoid")),
-    KeySpec("solver.markovian", "bool", False,
-            "replace the memory integral by its local limit"),
-    KeySpec("solver.memory_window", "opt_float", None,
-            "truncate the kernel history to this many time units (none = full)",
-            check=_positive, constraint="must be > 0 or none"),
-    KeySpec("solver.kernel_omega_max", "float", math.inf,
-            "frequency cutoff of the memory kernel (inf = untruncated)",
-            check=_positive, constraint="must be > 0"),
     KeySpec("poles.prescription", "choice", "half",
             "residue weight of the on-shell bath response",
             choices=("half", "full")),
@@ -165,15 +155,11 @@ _KEYS = [
             check=lambda v: v >= 2, constraint="must be >= 2"),
     KeySpec("oracle.omega_max", "float", 80.0, "bath sampling cutoff",
             check=_positive, constraint="must be > 0"),
-    KeySpec("oracle.method", "choice", "auto",
-            "reference propagation scheme", choices=("auto", "eig", "rk4")),
     KeySpec("oracle.threshold", "float", 1e-3,
             "max allowed |SP difference| between solver and reference",
             check=_positive, constraint="must be > 0"),
     KeySpec("oracle.t_max", "float", 50.0, "comparison horizon",
             check=_positive, constraint="must be > 0"),
-    KeySpec("oracle.consistent_truncation", "bool", True,
-            "use the reference's frequency cutoff in the solver kernel"),
     KeySpec("sweep.parameter", "str", "model.Delta",
             "config key swept by the sweep subcommand"),
     KeySpec("sweep.values", "float_list", (1.0, 2.5, 6.0),
@@ -317,15 +303,6 @@ class RunConfig:
     @property
     def sigma_mode(self) -> SigmaMode:
         return _SIGMA_MODES[self.values["poles.sigma_mode"]]
-
-    def evolve_kwargs(self) -> dict[str, object]:
-        v = self.values
-        return {
-            "kernel_rule": v["solver.kernel_rule"],
-            "markovian": v["solver.markovian"],
-            "memory_window": v["solver.memory_window"],
-            "kernel_omega_max": v["solver.kernel_omega_max"],
-        }
 
     def initial_state(self) -> np.ndarray:
         state = self.values["init.state"]

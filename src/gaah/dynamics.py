@@ -17,12 +17,17 @@ once from the eigendecomposition; the memory term is advanced by the
 implicit trapezoidal rule on the Duhamel integral.  Because the new
 time-level enters the history convolution only through the scalar S, the
 implicit stage reduces to one linear scalar equation and is solved exactly
-each step.  The history convolution itself is discretized either by
-piecewise-linear product integration with closed-form kernel moments
-("product", the default) or by the trapezoidal rule on the lag grid
-("trapezoid").  The exact local propagator keeps the eta = 0 limit unitary
-to machine precision at any step size, which an explicit stepper on the
-stiff local terms cannot do.
+each step.  The history convolution itself is discretized by
+piecewise-linear product integration: per lag interval the zeroth and first
+kernel moments are taken in closed form, so the sharply peaked kernel head
+at lags ~ 1/omega_c is integrated exactly and the quadrature error follows
+the smoothness of S alone.  The moments are closed-form for the full kernel
+at any s and, at s = 1, for the kernel truncated at a frequency omega_max
+(exponential-integral terms), which is the bath the discrete-bath oracle
+samples; so the oracle validates the same quadrature that production runs
+use.  The exact local propagator keeps the eta = 0 limit unitary to machine
+precision at any step size, which an explicit stepper on the stiff local
+terms cannot do.
 
 The history sums are evaluated in blocks of ``HISTORY_BLOCK`` steps
 (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  At each
@@ -40,20 +45,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.fft
 import scipy.signal
+import scipy.special
 
-from .bath import BathParams, memory_kernel, memory_kernel_integral
+from .bath import BathParams
 from .errors import NumericsError, ParameterError, UnstableEvolutionError
 from .model import ModelParams, build_hamiltonian, diagonalize
-
-#: Series recorded by default (site-resolved snapshots are opt-in via "sites").
-DEFAULT_RECORD = ("sp", "ipr", "norm", "variance", "collective")
-
-_KNOWN_RECORD = frozenset(DEFAULT_RECORD) | {"sites"}
 
 #: Hard stability bound on the squared norm during stepping.
 NORM_BLOWUP = 1.0 + 1e-4
@@ -94,19 +94,17 @@ class TimeGrid:
 class Trajectory:
     """Recorded observables of one evolution run.
 
-    All recorded series have length ``grid.steps + 1``; series not selected
-    for recording are ``None``.  ``params`` is a flat metadata snapshot
-    sufficient to reproduce the run.
+    Every series has length ``grid.steps + 1``.  ``params`` is a flat
+    metadata snapshot sufficient to reproduce the run.
     """
 
     grid: TimeGrid
-    sp: np.ndarray | None
-    ipr: np.ndarray | None
-    norm: np.ndarray | None
-    variance: np.ndarray | None
-    collective: np.ndarray | None
+    sp: np.ndarray
+    ipr: np.ndarray
+    norm: np.ndarray
+    variance: np.ndarray
+    collective: np.ndarray
     params: dict = field(default_factory=dict)
-    alpha_history: np.ndarray | None = None
 
     def times(self) -> np.ndarray:
         return self.grid.times()
@@ -160,22 +158,19 @@ def observables(alphas: np.ndarray, reference: np.ndarray) -> dict[str, np.ndarr
     }
 
 
-def _trapezoid_tables(bath: BathParams, dt: float, steps: int,
-                      omega_max: float = math.inf):
-    f = memory_kernel(bath, dt * np.arange(steps + 1), omega_max)
-    W = dt * f.astype(complex)
-    W[0] = 0.5 * dt * f[0]
-    T = 0.5 * dt * f.astype(complex)
-    return W, T
-
-
-def _product_tables(bath: BathParams, dt: float, steps: int):
+def _product_tables(bath: BathParams, dt: float, steps: int,
+                    omega_max: float = math.inf):
     """Piecewise-linear product-integration weights.
 
     Per lag interval [j*dt, (j+1)*dt] the kernel moments
     I0_j = int f(u) du and I1_j = int (u - j*dt) f(u) du are taken in closed
     form, so the quadrature error scales with the smoothness of the history
-    S, not with the sharply peaked kernel head.
+    S, not with the sharply peaked kernel head.  G0 and G1 are
+    antiderivatives of f and u*f in z = i*u + 1/omega_c.  A finite
+    ``omega_max`` (s = 1 only) takes the moments of the kernel truncated at
+    that frequency, f = eta * (1 - e^{-Wz} (1 + Wz)) / z^2 with W = omega_max:
+    d/dz[e^{-Wz}/z] = -e^{-Wz} (1 + Wz) / z^2 gives G0 its extra term, and the
+    first moment adds the exponential integral E1(Wz).
     """
     s, b = bath.s, 1.0 / bath.omega_c
     amp = bath.eta / bath.omega_c ** (s - 1.0) * math.gamma(s + 1.0)
@@ -186,6 +181,14 @@ def _product_tables(bath: BathParams, dt: float, steps: int):
         G1 = -np.log(z) - b / z
     else:
         G1 = z ** (1.0 - s) / (s - 1.0) - (b / s) * z ** (-s)
+    if not math.isinf(omega_max):
+        if s != 1.0:
+            raise ParameterError("truncated memory kernel is closed-form for s = 1 only")
+        if omega_max <= 0.0:
+            raise ParameterError(f"omega_max must be > 0, got {omega_max}")
+        decay = np.exp(-omega_max * z)
+        G0 -= 1j * decay / z
+        G1 += b * (decay / z) - decay - scipy.special.exp1(omega_max * z)
     I0 = amp * np.diff(G0)
     I1 = amp * np.diff(G1) - u[:-1] * I0
     a_j = I0 - I1 / dt        # weight of S at lag j
@@ -203,32 +206,16 @@ class _History:
     """Blocked history sums of C(t_q) = int_0^{t_q} S(tau) f(t_q - tau) dtau.
 
     On the lag grid C_q = sum_{j<=q} S_j W_{q-j} + S_0 D_q, with lag weights W
-    and the start-point correction D = T - W.  A memory window zeroes W and D
-    beyond the window's lag.  Each step needs the part of C_{m+1} that the
-    stored history S[0..m] fixes; it is split at the start k0 of the current
-    block: ``far`` gives the S[0:k0] and start-point parts for the whole
-    block at once, ``near`` the in-block part S[k0..m].
+    and the start-point correction D = T - W.  Each step needs the part of
+    C_{m+1} that the stored history S[0..m] fixes; it is split at the start
+    k0 of the current block: ``far`` gives the S[0:k0] and start-point parts
+    for the whole block at once, ``near`` the in-block part S[k0..m].
     """
 
-    def __init__(self, bath: BathParams, grid: TimeGrid, rule: str,
-                 window: float | None, omega_max: float = math.inf):
-        if rule == "trapezoid":
-            W, T = _trapezoid_tables(bath, grid.dt, grid.steps, omega_max)
-        elif rule == "product":
-            if not math.isinf(omega_max):
-                raise ParameterError(
-                    "product weights assume the full kernel; use the trapezoid "
-                    "rule with a truncated bath")
-            W, T = _product_tables(bath, grid.dt, grid.steps)
-        else:
-            raise ParameterError(f"unknown kernel rule {rule!r}")
-        D = T - W
-        if window is not None and window > 0.0:
-            max_lag = max(1, int(round(window / grid.dt)))
-            W[max_lag + 1:] = 0.0
-            D[max_lag + 1:] = 0.0
+    def __init__(self, bath: BathParams, grid: TimeGrid, omega_max: float):
+        W, T = _product_tables(bath, grid.dt, grid.steps, omega_max)
         self.w0 = W[0]
-        self.D = D
+        self.D = T - W
         # Lags 1..HISTORY_BLOCK, reversed so that ``near`` dots a contiguous
         # slice against the history.
         self.near_rev = W[HISTORY_BLOCK:0:-1].copy()
@@ -258,44 +245,21 @@ class _History:
         return np.dot(S[k0:m + 1], self.near_rev[K - (m + 1 - k0):K])
 
 
-def memory_rhs(conv_value: complex, n_sites: int) -> np.ndarray:
-    """Dissipative contribution to d/dt alpha: the same scalar, -C(t), added
-    to every site.  Exposed for structural testing of the site-independence."""
-    return np.full(n_sites, -complex(conv_value))
-
-
 def evolve(model: ModelParams, bath: BathParams, init: np.ndarray, grid: TimeGrid,
-           record: Iterable[str] = DEFAULT_RECORD,
-           kernel_rule: str = "product",
-           markovian: bool = False,
-           memory_window: float | None = None,
            kernel_omega_max: float = math.inf) -> Trajectory:
     """Integrate the memory-kernel equation from a normalized initial state.
 
     Parameters
     ----------
-    record : which observable series to store; any of "sp", "ipr", "norm",
-        "variance", "collective", plus "sites" for full amplitude snapshots.
-    kernel_rule : history quadrature, "product" (closed-form kernel moments,
-        the default: the kernel head at lag ~ 1/omega_c is integrated
-        exactly) or "trapezoid" (lag-grid trapezoid on the kernel table,
-        second order in dt with a larger head constant).
-    markovian : replace the history under the integral by its current value,
-        turning the convolution into S(t) * int_0^t f; comparison mode only.
-    memory_window : optional truncation of the convolution to the given lag
-        window (biased, off by default).
-    kernel_omega_max : optional frequency cutoff of the kernel (trapezoid
-        rule, s = 1); matches the physics of a truncated discrete bath.
+    kernel_omega_max : optional frequency cutoff of the kernel (s = 1 only);
+        the bath of a discrete-mode sampling of [0, kernel_omega_max], as the
+        oracle uses.
 
     Raises
     ------
     UnstableEvolutionError : if the squared norm exceeds 1 + 1e-4 at any step.
     NumericsError : if an amplitude becomes non-finite.
     """
-    record = tuple(record)
-    unknown = set(record) - _KNOWN_RECORD
-    if unknown:
-        raise ParameterError(f"unknown record selection {sorted(unknown)}")
     alpha = np.asarray(init, dtype=complex).copy()
     if alpha.shape != (model.N,):
         raise ParameterError(f"initial state must have shape ({model.N},)")
@@ -311,43 +275,31 @@ def evolve(model: ModelParams, bath: BathParams, init: np.ndarray, grid: TimeGri
 
     steps = grid.steps
     coupled = bath.eta != 0.0
-    history = (_History(bath, grid, kernel_rule, memory_window, kernel_omega_max)
-               if coupled else None)
-    f_cum = memory_kernel_integral(bath, grid.times()) if (coupled and markovian) else None
+    history = _History(bath, grid, kernel_omega_max) if coupled else None
 
     S = np.zeros(steps + 1, dtype=complex)
     S[0] = alpha.sum()
 
-    series = {name: np.empty(steps + 1) for name in record if name != "sites"}
-    observed = [name for name in ("sp", "ipr", "variance") if name in series]
-    norm = series.get("norm")
+    series = {name: np.empty(steps + 1) for name in ("sp", "ipr", "norm", "variance")}
+    norm = series["norm"]
     reference = alpha.copy()
-    # Amplitudes of the current block, kept for the vectorized observables;
-    # with "sites" recorded the full history itself serves as the buffer.
-    if "sites" in record:
-        alpha_hist = np.empty((steps + 1, N), dtype=complex)
-        alpha_hist[0] = alpha
-    else:
-        alpha_hist = None
-        block_rows = np.empty((min(HISTORY_BLOCK, steps), N), dtype=complex)
+    # Amplitudes of the current block, kept for the vectorized observables.
+    block_rows = np.empty((min(HISTORY_BLOCK, steps), N), dtype=complex)
 
     def _record(idx, rows):
-        if observed:
-            values = observables(rows, reference)
-            for name in observed:
-                series[name][idx:idx + len(rows)] = values[name]
+        values = observables(rows, reference)
+        for name in ("sp", "ipr", "variance"):
+            series[name][idx:idx + len(rows)] = values[name]
 
     _record(0, alpha[np.newaxis])
-    if norm is not None:
-        norm[0] = float(np.vdot(alpha, alpha).real)
+    norm[0] = float(np.vdot(alpha, alpha).real)
 
-    memory = coupled and not markovian
-    w0 = history.w0 if memory else 0.0
+    w0 = history.w0 if coupled else 0.0
     C_m = 0.0
     for k0 in range(0, steps, HISTORY_BLOCK):
         k1 = min(k0 + HISTORY_BLOCK, steps)
-        far = history.far(S, k0, k1) if memory else None
-        rows = alpha_hist[k0 + 1:k1 + 1] if alpha_hist is not None else block_rows[:k1 - k0]
+        far = history.far(S, k0, k1) if coupled else None
+        rows = block_rows[:k1 - k0]
         for m in range(k0, k1):
             # Implicit trapezoid on the Duhamel integral of the memory term.
             # The new endpoint of the history convolution involves the
@@ -358,16 +310,10 @@ def evolve(model: ModelParams, bath: BathParams, init: np.ndarray, grid: TimeGri
             # c_hist + W_0 S_m (carried below); c_hist is C_{m+1} without its
             # endpoint term.
             if coupled:
-                if markovian:
-                    C_m = S[m] * f_cum[m]
-                    c_hist = 0.0
-                    w_end = f_cum[m + 1]
-                else:
-                    c_hist = far[m - k0] + history.near(S, k0, m)
-                    w_end = w0
+                c_hist = far[m - k0] + history.near(S, k0, m)
                 A = P @ alpha - 0.5 * dt * C_m * P_ones
-                S_new = (A.sum() - 0.5 * dt * N * c_hist) / (1.0 + 0.5 * dt * N * w_end)
-                alpha = A - 0.5 * dt * (c_hist + w_end * S_new)
+                S_new = (A.sum() - 0.5 * dt * N * c_hist) / (1.0 + 0.5 * dt * N * w0)
+                alpha = A - 0.5 * dt * (c_hist + w0 * S_new)
             else:
                 alpha = P @ alpha
             nsq = float(np.vdot(alpha, alpha).real)
@@ -376,30 +322,25 @@ def evolve(model: ModelParams, bath: BathParams, init: np.ndarray, grid: TimeGri
             if nsq > NORM_BLOWUP:
                 raise UnstableEvolutionError(m + 1, nsq)
             S[m + 1] = alpha.sum()
-            if memory:
+            if coupled:
                 C_m = c_hist + w0 * S[m + 1]
             rows[m - k0] = alpha
-            if norm is not None:
-                norm[m + 1] = nsq
+            norm[m + 1] = nsq
         _record(k0 + 1, rows)
 
-    params = _run_metadata(model, bath, grid, kernel_rule, markovian, memory_window,
-                           kernel_omega_max)
     return Trajectory(
         grid=grid,
-        sp=series.get("sp"),
-        ipr=series.get("ipr"),
-        norm=series.get("norm"),
-        variance=series.get("variance"),
-        collective=S if "collective" in record else None,
-        params=params,
-        alpha_history=alpha_hist,
+        sp=series["sp"],
+        ipr=series["ipr"],
+        norm=norm,
+        variance=series["variance"],
+        collective=S,
+        params=_run_metadata(model, bath, grid, kernel_omega_max),
     )
 
 
 def _run_metadata(model: ModelParams, bath: BathParams, grid: TimeGrid,
-                  kernel_rule: str, markovian: bool,
-                  memory_window: float | None, kernel_omega_max: float) -> dict:
+                  kernel_omega_max: float) -> dict:
     return {
         "model.N": model.N,
         "model.lambda": model.lam,
@@ -413,9 +354,6 @@ def _run_metadata(model: ModelParams, bath: BathParams, grid: TimeGrid,
         "grid.dt": grid.dt,
         "grid.steps": grid.steps,
         "solver.potential": "full-deformed",
-        "solver.kernel_rule": kernel_rule,
-        "solver.markovian": markovian,
-        "solver.memory_window": 0.0 if memory_window is None else memory_window,
         "solver.kernel_omega_max": kernel_omega_max,
     }
 
@@ -489,13 +427,12 @@ class ConvergenceReport:
 
 
 def convergence_check(model: ModelParams, bath: BathParams, init: np.ndarray,
-                      grid: TimeGrid, threshold: float = 1e-4,
-                      **evolve_kw) -> ConvergenceReport:
+                      grid: TimeGrid, threshold: float = 1e-4) -> ConvergenceReport:
     """Run at dt and dt/2 and report the largest survival-probability
     discrepancy on the shared grid points."""
-    coarse = evolve(model, bath, init, grid, **evolve_kw)
+    coarse = evolve(model, bath, init, grid)
     fine_grid = TimeGrid(dt=0.5 * grid.dt, steps=2 * grid.steps)
-    fine = evolve(model, bath, init, fine_grid, **evolve_kw)
+    fine = evolve(model, bath, init, fine_grid)
     dev = float(np.max(np.abs(coarse.sp - fine.sp[::2])))
     return ConvergenceReport(
         dt_coarse=grid.dt,

@@ -36,7 +36,11 @@ from .config import RunConfig
 from .dynamics import TimeGrid, Trajectory, evolve
 from .errors import ParameterError
 from .model import build_hamiltonian, diagonalize, highest_excited_state
-from .output import write_determinant_grid_csv, write_trajectory_csv, fmt
+from .output import (
+    write_determinant_grid_csv,
+    write_summary_csv,
+    write_trajectory_csv,
+)
 from .spectrum import PoleSearchRegion, scan_grid
 
 BUNDLES = ("fig1", "fig2", "fig3", "figA1", "figA2")
@@ -63,17 +67,7 @@ def _run(cfg: RunConfig, a: float, Delta: float, eta: float,
     model = replace(cfg.model, a=a, Delta=Delta)
     bath = replace(cfg.bath, eta=eta)
     init = highest_excited_state(diagonalize(build_hamiltonian(model)))
-    return evolve(model, bath, init, grid, **cfg.evolve_kwargs())
-
-
-def _write_summary(rows: list[dict], path: str) -> None:
-    from .output import _atomic_write  # shared atomic writer
-
-    columns = list(rows[0].keys())
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt(row[c]) for c in columns))
-    _atomic_write(path, ["\n".join(lines) + "\n"])
+    return evolve(model, bath, init, grid)
 
 
 def _delta_scan_bundle(cfg: RunConfig, out_dir: str, name: str, a: float,
@@ -96,7 +90,7 @@ def _delta_scan_bundle(cfg: RunConfig, out_dir: str, name: str, a: float,
                 "norm_end": traj.norm[-1],
             })
     summary = os.path.join(out_dir, f"{name}_summary.csv")
-    _write_summary(rows, summary)
+    write_summary_csv(rows, summary)
     files.append(summary)
     return files
 
@@ -142,7 +136,7 @@ def build_fig3(cfg: RunConfig, out_dir: str, full: bool = False) -> list[str]:
                 "IPR_end": traj.ipr[-1],
             })
     summary = os.path.join(out_dir, "fig3_summary.csv")
-    _write_summary(rows, summary)
+    write_summary_csv(rows, summary)
     files.append(summary)
     return files
 

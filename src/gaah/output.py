@@ -126,6 +126,15 @@ def write_determinant_grid_csv(grid: DeterminantGrid, path: str,
     _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
+def write_summary_csv(rows: list[dict], path: str) -> None:
+    """One line per row dict, columns in the first row's key order."""
+    columns = list(rows[0])
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(fmt(row[c]) for c in columns))
+    _atomic_write(path, ["\n".join(lines) + "\n"])
+
+
 def sha256_of(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:

@@ -21,13 +21,13 @@ from gaah.bath import (
     ResiduePrescription,
     SigmaMode,
     memory_kernel,
-    memory_kernel_integral,
     self_energy,
     self_energy_closed_form,
     self_energy_eval,
     spectral_density,
     spectral_weight,
 )
+from gaah.dynamics import _product_tables
 from gaah.errors import ParameterError
 
 HALF = ResiduePrescription.HALF
@@ -149,10 +149,18 @@ class TestMemoryKernel:
 
     @pytest.mark.parametrize("t", [0.4, 1.1, 5.0])
     def test_cumulative_integral(self, bath, t):
-        re, _ = quad(lambda u: memory_kernel(bath, u).real, 0.0, t, limit=400)
-        im, _ = quad(lambda u: memory_kernel(bath, u).imag, 0.0, t, limit=400)
-        assert memory_kernel_integral(bath, t) == pytest.approx(
-            re + 1j * im, abs=1e-10)
+        # The integrator's product weights integrate a constant history
+        # exactly, so sum_{j<q} W_j + T_q is int_0^{t_q} f in closed form,
+        # for the full and the truncated kernel alike.
+        dt = 0.01
+        q = round(t / dt)
+        for omega_max in (math.inf, 80.0):
+            re, _ = quad(lambda u: memory_kernel(bath, u, omega_max).real, 0.0, t,
+                         limit=400)
+            im, _ = quad(lambda u: memory_kernel(bath, u, omega_max).imag, 0.0, t,
+                         limit=400)
+            W, T = _product_tables(bath, dt, q, omega_max)
+            assert np.sum(W[:q]) + T[q] == pytest.approx(re + 1j * im, abs=1e-10)
 
 
 class TestSelfEnergy:

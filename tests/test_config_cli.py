@@ -25,7 +25,7 @@ from gaah.config import (
 )
 from gaah.errors import ConfigError
 from gaah.dynamics import TimeGrid, Trajectory
-from gaah.output import fmt, sha256_of, write_trajectory_csv
+from gaah.output import fmt, sha256_of, write_summary_csv, write_trajectory_csv
 
 
 def _read_csv(path):
@@ -76,8 +76,10 @@ class TestParse:
             parse_config_text("model.N = 21.0\n")
         with pytest.raises(ConfigError, match="bath.eta: expected a number"):
             parse_config_text("bath.eta = strong\n")
-        with pytest.raises(ConfigError, match="solver.markovian: expected true or false"):
-            parse_config_text("solver.markovian = maybe\n")
+        with pytest.raises(ConfigError, match="poles.report_all: expected true or false"):
+            parse_config_text("poles.report_all = maybe\n")
+        with pytest.raises(ConfigError, match="poles.re_min: expected a number or 'none'"):
+            parse_config_text("poles.re_min = low\n")
 
     def test_constraint_errors_name_the_key(self):
         with pytest.raises(ConfigError, match=r"model.a: must satisfy \|a\| < 1"):
@@ -86,18 +88,29 @@ class TestParse:
             parse_config_text("grid.dt = -0.01\n")
 
     def test_choice_errors_list_alternatives(self):
-        with pytest.raises(ConfigError,
-                           match="solver.kernel_rule: must be one of product, trapezoid"):
-            parse_config_text("solver.kernel_rule = simpson\n")
+        with pytest.raises(
+                ConfigError,
+                match="poles.sigma_mode: must be one of auto, real-axis, continued"):
+            parse_config_text("poles.sigma_mode = imaginary\n")
 
     def test_special_values(self):
         values = parse_config_text(
-            "solver.memory_window = none\n"
-            "solver.kernel_omega_max = inf\n"
+            "poles.re_min = none\n"
+            "poles.re_max = inf\n"
             "sweep.values = 1, 2.5, 6\n")
-        assert values["solver.memory_window"] is None
-        assert values["solver.kernel_omega_max"] == math.inf
+        assert values["poles.re_min"] is None
+        assert values["poles.re_max"] == math.inf
         assert values["sweep.values"] == (1.0, 2.5, 6.0)
+
+    @pytest.mark.parametrize("key", [
+        "solver.kernel_rule", "solver.markovian", "solver.memory_window",
+        "solver.kernel_omega_max", "oracle.consistent_truncation", "oracle.method",
+    ])
+    def test_removed_keys_are_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config key '{re.escape(key)}'"):
+            parse_config_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown config key '{re.escape(key)}'"):
+            apply_overrides(default_values(), [f"{key}=1"])
 
     def test_overrides(self):
         values = apply_overrides(default_values(), ["model.Delta=6", "bath.eta=0.5"])
@@ -113,7 +126,7 @@ class TestRoundTrip:
     def test_serialize_parse_identity(self):
         values = default_values()
         values["model.Delta"] = 6.0
-        values["solver.memory_window"] = 12.5
+        values["poles.re_min"] = 12.5
         text = serialize_values(values)
         assert parse_config_text(text) == values
 
@@ -144,7 +157,7 @@ class TestRoundTrip:
         values.update({
             "model.Delta": delta, "model.lam": lam, "model.beta": beta,
             "model.phi": phi, "bath.eta": eta, "grid.dt": dt,
-            "grid.t_max": t_max, "solver.memory_window": window,
+            "grid.t_max": t_max, "poles.re_min": window,
             "model.N": n_sites,
         })
         assert parse_config_text(serialize_values(values)) == values
@@ -159,10 +172,6 @@ class TestRunConfig:
         assert cfg.grid.steps == 500
         assert cfg.prescription is ResiduePrescription.HALF
         assert cfg.sigma_mode is SigmaMode.AUTO
-        assert cfg.evolve_kwargs() == {
-            "kernel_rule": "product", "markovian": False,
-            "memory_window": None, "kernel_omega_max": math.inf,
-        }
 
     def test_initial_state_variants(self, es_state):
         assert np.allclose(parse_config("").initial_state(), es_state, atol=0)
@@ -239,6 +248,15 @@ class TestTrajectoryCsv:
         assert path.read_text() == "\n".join(expected) + "\n"
 
 
+class TestSummaryCsv:
+    def test_columns_follow_the_first_row(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        write_summary_csv([{"panel": "a", "Delta": 1.0, "n": 3, "ok": True},
+                           {"panel": "b", "Delta": 0.1, "n": 4, "ok": False}],
+                          str(path))
+        assert path.read_text() == "panel,Delta,n,ok\na,1.0,3,true\nb,0.1,4,false\n"
+
+
 class TestCliEvolve:
     def test_writes_trajectory_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -249,7 +267,8 @@ class TestCliEvolve:
         assert cols == ["t", "SP", "IPR", "norm", "variance", "Re S", "Im S"]
         assert len(rows) == 101  # t = 0 .. 2 at dt = 0.02
         assert header["model.N"] == "7"
-        assert header["solver.kernel_rule"] == "product"
+        assert header["solver.kernel_omega_max"] == "inf"
+        assert "solver.kernel_rule" not in header
 
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "evolve"

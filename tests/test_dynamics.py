@@ -9,23 +9,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scipy.integrate import quad
+
 from gaah.dynamics import (
     HISTORY_BLOCK,
     NORM_BLOWUP,
     TimeGrid,
     _product_tables,
-    _trapezoid_tables,
     beat_envelope,
     convergence_check,
     dominant_period,
     evolve,
     ipr,
-    memory_rhs,
     observables,
     position_variance,
     survival_probability,
 )
-from gaah.bath import BathParams
+from gaah.bath import BathParams, memory_kernel
 from gaah.errors import ParameterError, UnstableEvolutionError
 from gaah.model import ModelParams, build_hamiltonian, diagonalize, state_ipr
 
@@ -112,14 +112,6 @@ class TestObservables:
         with pytest.raises(ParameterError, match="zero vector"):
             observables(rows, es_state)
 
-    @given(st.integers(2, 30))
-    def test_memory_rhs_site_independent(self, n):
-        c = 0.3 - 0.7j
-        rhs = memory_rhs(c, n)
-        assert rhs.shape == (n,)
-        assert np.all(rhs == rhs[0])
-        assert rhs[0] == -c
-
 
 class TestEvolveValidation:
     def test_wrong_shape(self, model, bath):
@@ -132,21 +124,12 @@ class TestEvolveValidation:
         with pytest.raises(ParameterError, match="normalized"):
             evolve(model, bath, np.full(model.N, 1.0, dtype=complex), grid)
 
-    def test_unknown_record(self, model, bath, es_state):
+    def test_truncation_requires_ohmic(self, model, es_state):
         grid = TimeGrid(dt=0.1, steps=2)
-        with pytest.raises(ParameterError, match="record"):
-            evolve(model, bath, es_state, grid, record=("sp", "bogus"))
-
-    def test_unknown_kernel_rule(self, model, bath, es_state):
-        grid = TimeGrid(dt=0.1, steps=2)
-        with pytest.raises(ParameterError, match="kernel rule"):
-            evolve(model, bath, es_state, grid, kernel_rule="simpson")
-
-    def test_product_rule_rejects_truncation(self, model, bath, es_state):
-        grid = TimeGrid(dt=0.1, steps=2)
-        with pytest.raises(ParameterError, match="trapezoid"):
-            evolve(model, bath, es_state, grid, kernel_rule="product",
-                   kernel_omega_max=80.0)
+        with pytest.raises(ParameterError, match="s = 1 only"):
+            evolve(model, BathParams(s=0.5), es_state, grid, kernel_omega_max=80.0)
+        with pytest.raises(ParameterError, match="omega_max must be > 0"):
+            evolve(model, BathParams(), es_state, grid, kernel_omega_max=-1.0)
 
     def test_unstable_error_payload(self):
         err = UnstableEvolutionError(7, 1.5)
@@ -197,88 +180,91 @@ class TestEvolveCoupled:
     def test_metadata_snapshot(self, traj, model, bath):
         assert traj.params["model.Delta"] == model.Delta
         assert traj.params["bath.eta"] == bath.eta
-        assert traj.params["solver.kernel_rule"] == "product"
-
-    def test_site_history(self, model, bath, es_state):
-        grid = TimeGrid(dt=0.05, steps=10)
-        traj = evolve(model, bath, es_state, grid, record=("norm", "sites"))
-        assert traj.alpha_history.shape == (11, model.N)
-        assert np.allclose(traj.alpha_history[0], es_state, atol=0)
-        norms = np.sum(np.abs(traj.alpha_history) ** 2, axis=1)
-        assert np.allclose(norms, traj.norm, atol=1e-12)
-        assert traj.sp is None
+        assert traj.params["solver.kernel_omega_max"] == math.inf
+        assert not any(key in traj.params for key in (
+            "solver.kernel_rule", "solver.markovian", "solver.memory_window"))
 
     def test_kernel_rules_converge_together(self, model, bath, es_state):
-        # The two history quadratures are independent routes; their gap is
-        # dominated by the trapezoid head error and must shrink as dt^2.
+        # The lag-grid trapezoid rule is an independent route to the same
+        # history integral; its gap to the shipped product rule is dominated
+        # by the trapezoid head error and must shrink as dt^2.
         gaps = []
         for dt in (0.01, 0.005):
             grid = TimeGrid.from_t_max(dt, 5.0)
-            product = evolve(model, bath, es_state, grid, kernel_rule="product")
-            trapezoid = evolve(model, bath, es_state, grid, kernel_rule="trapezoid")
-            gaps.append(np.max(np.abs(product.sp - trapezoid.sp)))
+            product = evolve(model, bath, es_state, grid)
+            trapezoid, _ = _direct_evolve(
+                model, bath, es_state, grid,
+                tables=_trapezoid_tables(bath, grid.dt, grid.steps))
+            gaps.append(np.max(np.abs(product.sp - trapezoid)))
         assert 0.0 < gaps[0] < 0.05
         assert gaps[0] / gaps[1] > 3.0
 
+    # The two tests below take "window" as the kernel's frequency window
+    # [0, kernel_omega_max], the bath a discrete-mode sampling holds.
+
     def test_full_window_matches_untruncated(self, model, bath, es_state):
+        # At 40 omega_c the truncated moments differ from the full ones by
+        # terms of order e^{-40}.
         grid = TimeGrid.from_t_max(0.02, 10.0)
         full = evolve(model, bath, es_state, grid)
-        windowed = evolve(model, bath, es_state, grid, memory_window=grid.t_max)
+        windowed = evolve(model, bath, es_state, grid,
+                          kernel_omega_max=40.0 * bath.omega_c)
         assert np.max(np.abs(full.sp - windowed.sp)) <= 1e-12
 
     def test_moderate_window_is_different(self, model, bath, es_state):
+        # Cutting the bath at 2 omega_c removes about 60% of its spectral
+        # weight: the dynamics stay bounded but visibly change.
         grid = TimeGrid.from_t_max(0.02, 10.0)
         full = evolve(model, bath, es_state, grid)
-        windowed = evolve(model, bath, es_state, grid, memory_window=2.0)
+        windowed = evolve(model, bath, es_state, grid,
+                          kernel_omega_max=2.0 * bath.omega_c)
         assert np.max(windowed.norm) <= 1.0 + 1e-6
         assert np.max(np.abs(full.sp - windowed.sp)) > 1e-3
 
-    def test_aggressive_window_destabilizes(self, model, bath, es_state):
-        # Cutting the history at half a cutoff time biases the convolution
-        # enough to pump norm; the guard must catch it rather than return
-        # garbage.
-        grid = TimeGrid.from_t_max(0.02, 10.0)
-        with pytest.raises(UnstableEvolutionError):
-            evolve(model, bath, es_state, grid, memory_window=0.5)
 
-    def test_markovian_mode_differs(self, model, bath, es_state):
-        grid = TimeGrid.from_t_max(0.02, 10.0)
-        full = evolve(model, bath, es_state, grid)
-        mark = evolve(model, bath, es_state, grid, markovian=True)
-        assert np.max(mark.norm) <= 1.0 + 1e-6
-        assert np.max(np.abs(full.sp - mark.sp)) > 1e-4
+def _trapezoid_tables(bath, dt, steps):
+    """Lag-grid trapezoid weights on the kernel table: an independent
+    quadrature of the history integral, second order in dt with a larger
+    head constant than the product rule."""
+    f = memory_kernel(bath, dt * np.arange(steps + 1))
+    W = dt * f.astype(complex)
+    W[0] = 0.5 * dt * f[0]
+    T = 0.5 * dt * f.astype(complex)
+    return W, T
 
 
-def _direct_evolve(model, bath, init, grid, kernel_rule="product", memory_window=None,
-                   kernel_omega_max=math.inf):
+def _cut_history(W, T, max_lag):
+    """Tables that drop every lag beyond ``max_lag``: a biased history that
+    pumps norm when the cut is short."""
+    W, T = W.copy(), T.copy()
+    W[max_lag + 1:] = 0.0
+    T[max_lag + 1:] = 0.0
+    return W, T
+
+
+def _direct_evolve(model, bath, init, grid, kernel_omega_max=math.inf, tables=None):
     """Reference stepper with the direct O(n^2) history convolution.
 
     Each step takes C_m and the endpoint-free c_hist from two full-length dot
     products over the stored history, and records SP and the norm with the
-    scalar observables; same quadrature and implicit stage as ``evolve``.
+    scalar observables; same implicit stage as ``evolve``, and by default the
+    same product weights.  ``tables`` = (W, T) substitutes other lag weights.
     """
-    if kernel_rule == "trapezoid":
-        W, T = _trapezoid_tables(bath, grid.dt, grid.steps, kernel_omega_max)
-    else:
-        W, T = _product_tables(bath, grid.dt, grid.steps)
+    if tables is None:
+        tables = _product_tables(bath, grid.dt, grid.steps, kernel_omega_max)
+    W, T = tables
     Wrev = W[::-1].copy()
     L = grid.steps
-    max_lag = None
-    if memory_window is not None and memory_window > 0.0:
-        max_lag = max(1, int(round(memory_window / grid.dt)))
 
     def conv(S, q, m_hist, S_end=None):
         # C at time index q from S[0..m_hist]; with S_end, q == m_hist + 1.
         if q == 0:
             return 0.0 + 0.0j
-        lo = 0 if max_lag is None else max(0, q - max_lag)
         if S_end is None:
-            c = np.dot(S[lo:q + 1], Wrev[L - (q - lo):L + 1])
+            c = np.dot(S[:q + 1], Wrev[L - q:L + 1])
         else:
-            c = np.dot(S[lo:m_hist + 1], Wrev[L - (q - lo):L]) + S_end * W[0]
-        if lo == 0:
-            c += S[0] * (T[q] - W[q])
-        return c
+            c = np.dot(S[:m_hist + 1], Wrev[L - q:L]) + S_end * W[0]
+        return c + S[0] * (T[q] - W[q])
 
     dec = diagonalize(build_hamiltonian(model))
     dt = grid.dt
@@ -310,6 +296,33 @@ def _direct_evolve(model, bath, init, grid, kernel_rule="product", memory_window
 B = HISTORY_BLOCK
 
 
+def _moment(bath, omega_max, lo, hi, weight):
+    """int_lo^hi weight(u) f(u) du by adaptive quadrature, real and
+    imaginary parts separately."""
+    def part(take):
+        return quad(lambda u: take(weight(u) * memory_kernel(bath, u, omega_max)),
+                    lo, hi, epsabs=1e-17, epsrel=1e-13, limit=200)[0]
+    return part(np.real) + 1j * part(np.imag)
+
+
+class TestProductTables:
+    @pytest.mark.parametrize("omega_max", [80.0, 20.0])
+    def test_truncated_moments_match_quadrature(self, bath, omega_max):
+        # W and T are linear in the moments: a_j = I0_j - I1_j/dt and
+        # b_j = I1_j/dt give W_j = a_j + b_{j-1} and T_j = b_{j-1}, so I0 and
+        # I1 come back out of the tables exactly.
+        dt, steps = 0.002, 25000
+        W, T = _product_tables(bath, dt, steps, omega_max)
+        b_j = np.append(T[1:], np.nan)          # b_j for j = 0..steps-1
+        a_j = np.append(W[0], W[1:] - T[1:])    # a_j for j = 0..steps
+        for j in (0, 1, 100, steps - 1):
+            I1 = b_j[j] * dt
+            I0 = a_j[j] + b_j[j]
+            lo, hi = j * dt, (j + 1) * dt
+            assert abs(I0 - _moment(bath, omega_max, lo, hi, lambda u: 1.0)) <= 1e-15
+            assert abs(I1 - _moment(bath, omega_max, lo, hi, lambda u: u - lo)) <= 1e-15
+
+
 class TestBlockedHistory:
     """The blocked FFT history against the direct convolution."""
 
@@ -318,26 +331,32 @@ class TestBlockedHistory:
         (B, {}),
         (B + 1, {}),
         (3 * B + 7, {}),
-        (3 * B + 7, {"kernel_rule": "trapezoid"}),
-        (3 * B + 7, {"memory_window": 5.0}),     # 500 lags, within one block
-        (3 * B + 7, {"memory_window": 30.0}),    # 3000 lags, past one block
-        (3 * B + 7, {"kernel_rule": "trapezoid", "kernel_omega_max": 80.0}),
+        (3 * B + 7, {"kernel_omega_max": 80.0}),
+        (3 * B + 7, {"kernel_omega_max": 20.0}),
+        (3 * B + 7, {"bath": BathParams(s=0.5)}),   # the s != 1 moments
+        (3 * B + 7, {"bath": BathParams(eta=0.5)}),
     ])
     def test_matches_direct_convolution(self, model, bath, es_state, steps, kw):
+        kw = dict(kw)
+        bath = kw.pop("bath", bath)
         grid = TimeGrid(dt=0.01, steps=steps)
         traj = evolve(model, bath, es_state, grid, **kw)
         sp, norm = _direct_evolve(model, bath, es_state, grid, **kw)
         assert np.max(np.abs(traj.sp - sp)) <= 1e-12
         assert np.max(np.abs(traj.norm - norm)) <= 1e-12
 
-    def test_blowup_at_the_direct_step(self, model, bath, es_state):
-        # At dt = 0.002 the half-cutoff window pumps norm past the bound
+    def test_blowup_at_the_direct_step(self, model, bath, es_state, monkeypatch):
+        # The product rule is stable, so the guard is driven with tables cut
+        # at half a cutoff time: at dt = 0.002 they pump norm past the bound
         # after the first block boundary.
         grid = TimeGrid.from_t_max(0.002, 10.0)
+        tables = _cut_history(*_product_tables(bath, grid.dt, grid.steps), 250)
         with pytest.raises(UnstableEvolutionError) as direct:
-            _direct_evolve(model, bath, es_state, grid, memory_window=0.5)
+            _direct_evolve(model, bath, es_state, grid, tables=tables)
+        monkeypatch.setattr("gaah.dynamics._product_tables",
+                            lambda *args: tuple(t.copy() for t in tables))
         with pytest.raises(UnstableEvolutionError) as blocked:
-            evolve(model, bath, es_state, grid, memory_window=0.5)
+            evolve(model, bath, es_state, grid)
         assert direct.value.step > B
         assert blocked.value.step == direct.value.step
 

@@ -143,10 +143,9 @@ class TestCompare:
 
     def test_missing_observable(self, small_model, small_init, bath):
         grid = TimeGrid.from_t_max(0.01, 1.0)
-        a = evolve(small_model, bath, small_init, grid, record=("sp",))
-        b = evolve(small_model, bath, small_init, grid, record=("norm",))
-        with pytest.raises(ParameterError, match="recorded"):
-            compare_trajectories(a, b, "sp")
+        a = evolve(small_model, bath, small_init, grid)
+        with pytest.raises(ParameterError, match="unknown observable"):
+            compare_trajectories(a, a, "alpha")
 
 
 class TestValidation:
@@ -185,10 +184,26 @@ class TestValidation:
 
     def test_consistent_truncation_isolates_solver_error(self, small_model,
                                                          small_init, bath):
-        # Dropping the truncation match reintroduces the spectral weight
-        # above omega_max into the gap, which roughly triples it here.
+        # Cutting the integrator's kernel at the oracle's omega_max leaves
+        # only solver error; the full kernel adds the spectral weight above
+        # omega_max to the gap, which roughly triples it here.
         grid = TimeGrid.from_t_max(0.002, 30.0)
-        matched = validate_against_oracle(small_model, bath, small_init, grid)
-        mismatched = validate_against_oracle(small_model, bath, small_init,
-                                             grid, consistent_truncation=False)
-        assert mismatched.max_sp_deviation > 2.0 * matched.max_sp_deviation
+        exact = evolve_full(small_model, discretize_bath(bath, 2000, 80.0),
+                            small_init, grid)
+        matched = evolve(small_model, bath, small_init, grid, kernel_omega_max=80.0)
+        full = evolve(small_model, bath, small_init, grid)
+        matched_gap = compare_trajectories(matched, exact)
+        assert matched_gap < 5e-4
+        assert compare_trajectories(full, exact) > 2.0 * matched_gap
+
+    def test_passes_at_a_phase_the_trapezoid_rule_missed(self, bath):
+        # At phi = 3 pi / 2 the lag-grid trapezoid rule on the truncated
+        # kernel left a gap of 1.4e-3; the product rule stays well inside
+        # the 1e-3 threshold.
+        model = ModelParams(N=7, phi=1.5 * np.pi)
+        init = highest_excited_state(diagonalize(build_hamiltonian(model)))
+        report = validate_against_oracle(model, bath, init,
+                                         TimeGrid.from_t_max(0.002, 50.0),
+                                         modes=2000, omega_max=80.0)
+        assert report.max_sp_deviation < 1e-3
+        assert report.passed

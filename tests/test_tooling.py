@@ -1,0 +1,48 @@
+"""Names the benchmark harness depends on.
+
+The benchmark's traced run (``perfbench/worker.py``) rebinds gaah functions
+by ``module:attribute`` name to time them.  A rename or deletion in
+``src/`` would make that run fail, or silently stop measuring a layer, so
+every name it patches must keep resolving.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def _load_worker():
+    # The worker imports its sibling modules by plain name.
+    sys.path.insert(0, PERFBENCH)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_worker", os.path.join(PERFBENCH, "worker.py"))
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+    finally:
+        sys.path.remove(PERFBENCH)
+    return worker
+
+
+def test_every_traced_target_resolves():
+    targets = [t for names, *_ in _load_worker()._PATCHES for t in names]
+    assert len(targets) > 30
+    missing = []
+    for target in targets:
+        module_name, _, attr_path = target.partition(":")
+        owner = importlib.import_module(module_name)
+        try:
+            for part in attr_path.split("."):
+                owner = getattr(owner, part)
+        except AttributeError:
+            missing.append(target)
+        else:
+            if not callable(owner):
+                missing.append(target)
+    assert missing == []
