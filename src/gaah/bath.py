@@ -200,27 +200,24 @@ def self_energy(b: BathParams, E: complex,
 
 
 def self_energy_closed_form(b: BathParams, E,
-                            p: ResiduePrescription = ResiduePrescription.HALF,
-                            continue_in_E: bool = False):
-    """Exponential-integral closed form of the s = 1 self-energy.
+                            p: ResiduePrescription = ResiduePrescription.HALF):
+    """Exponential-integral closed form of the s = 1 self-energy at E.
 
     For real E the principal-value part reduces to
 
         eta * (E * exp(-E/omega_c) * Ei(E/omega_c) - omega_c),
 
-    which serves as an independent check of the subtraction quadrature.  With
-    ``continue_in_E`` the same expression is evaluated at complex E (with the
-    residue term built from the analytically continued spectral density), a
-    sensitivity knob for the real-axis working definition.  Accepts scalar
-    or array ``E``; a scalar gives a complex.
+    which serves as an independent check of the subtraction quadrature.  At
+    complex E the same expression, with the residue term built from the
+    analytically continued spectral density eta * E * exp(-E/omega_c), is
+    the continued self-energy of ``SigmaMode.CONTINUED``.  Accepts scalar or
+    array ``E``; a scalar gives a complex.
     """
     if b.s != 1.0:
         raise ParameterError("closed form is available for s = 1 only")
     # [()] makes a scalar E a numpy scalar, whose arithmetic costs far less
     # than that of a 0-d array; an array E passes through unchanged.
     z = np.asarray(E, dtype=complex)[()]
-    if not continue_in_E:
-        z = z.real.astype(complex)
     if b.eta == 0.0:
         return np.zeros_like(z) if np.ndim(z) else 0.0 + 0.0j
     x = z.real
@@ -233,8 +230,7 @@ def self_energy_closed_form(b: BathParams, E,
     decay = np.exp(-u)
     # At z = 0 the product is 0 (expi(0) is infinite), leaving -eta * omega_c.
     disp = b.eta * (z * decay * expi(np.where(z == 0.0, 1.0, u)) - b.omega_c)
-    j = b.eta * z * decay if continue_in_E else spectral_density(b, np.maximum(x, 0.0))
-    value = disp - 1j * p.residue_factor * j * (x > 0.0)
+    value = disp - 1j * p.residue_factor * (b.eta * z * decay) * (x > 0.0)
     return value if np.ndim(value) else complex(value)
 
 
@@ -274,4 +270,4 @@ def self_energy_eval(b: BathParams, E,
         raise ParameterError(
             f"continued self-energy needs Re(E) > 0, got Re(E) = {float(lowest)}; "
             "use REAL_AXIS")
-    return self_energy_closed_form(b, E, p, continue_in_E=True)
+    return self_energy_closed_form(b, E, p)

@@ -169,8 +169,6 @@ def _pole_region(cfg: RunConfig) -> PoleSearchRegion:
 
 def _cmd_poles(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
     poles = find_poles(cfg.model, cfg.bath, _pole_region(cfg),
-                       n_re=cfg.values["poles.re_points"],
-                       n_im=cfg.values["poles.im_points"],
                        prescription=cfg.prescription, sigma_mode=cfg.sigma_mode)
     if not poles:
         raise NumericsError("no poles converged in the search window")

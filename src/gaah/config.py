@@ -145,10 +145,6 @@ _KEYS = [
             check=lambda v: v < 0, constraint="must be < 0"),
     KeySpec("poles.im_max", "float", 0.0, "search window upper Im bound",
             check=lambda v: v <= 0, constraint="must be <= 0"),
-    KeySpec("poles.re_points", "int", 200, "determinant scan resolution along Re",
-            check=lambda v: v >= 8, constraint="must be >= 8"),
-    KeySpec("poles.im_points", "int", 80, "determinant scan resolution along Im",
-            check=lambda v: v >= 8, constraint="must be >= 8"),
     KeySpec("poles.report_all", "bool", False,
             "report every pole in the window instead of the two highest"),
     KeySpec("oracle.modes", "int", 2000, "number of sampled bath modes",

@@ -343,7 +343,7 @@ def _run_metadata(model: ModelParams, bath: BathParams, grid: TimeGrid,
                   kernel_omega_max: float) -> dict:
     return {
         "model.N": model.N,
-        "model.lambda": model.lam,
+        "model.lam": model.lam,
         "model.Delta": model.Delta,
         "model.a": model.a,
         "model.beta": model.beta,
@@ -353,7 +353,6 @@ def _run_metadata(model: ModelParams, bath: BathParams, grid: TimeGrid,
         "bath.s": bath.s,
         "grid.dt": grid.dt,
         "grid.steps": grid.steps,
-        "solver.potential": "full-deformed",
         "solver.kernel_omega_max": kernel_omega_max,
     }
 

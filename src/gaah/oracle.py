@@ -130,11 +130,12 @@ def _evolve_rk4(model: ModelParams, dbath: DiscreteBath, init: np.ndarray,
 
 
 def evolve_full(model: ModelParams, dbath: DiscreteBath, init: np.ndarray,
-                grid: TimeGrid, method: str = "auto") -> Trajectory:
+                grid: TimeGrid) -> Trajectory:
     """Evolve system + discrete bath and record system-block observables.
 
-    method: "eig" (exact diagonalization), "rk4" (structured time stepping
-    for mode counts where eig is too big), or "auto".
+    Up to _EIG_DIMENSION_CAP sites plus modes the propagator comes from an
+    exact diagonalization ("eig"); above it from structured RK4 time
+    stepping ("rk4").  ``params["oracle.method"]`` records which one ran.
     """
     init = np.asarray(init, dtype=complex)
     if init.shape != (model.N,):
@@ -143,17 +144,15 @@ def evolve_full(model: ModelParams, dbath: DiscreteBath, init: np.ndarray,
         raise ParameterError(
             f"t_max = {grid.t_max:g} exceeds the discrete-bath recurrence time "
             f"{dbath.recurrence_time:g}; increase oracle.modes")
-    if method == "auto":
-        method = "eig" if model.N + dbath.modes <= _EIG_DIMENSION_CAP else "rk4"
-    if method == "eig":
+    if model.N + dbath.modes <= _EIG_DIMENSION_CAP:
+        method = "eig"
         alphas = _evolve_eig(full_hamiltonian(model, dbath), model.N, init, grid)
-    elif method == "rk4":
-        alphas = _evolve_rk4(model, dbath, init, grid)
     else:
-        raise ParameterError(f"unknown oracle method {method!r}")
+        method = "rk4"
+        alphas = _evolve_rk4(model, dbath, init, grid)
     series = observables(alphas, init)
     params = {
-        "model.N": model.N, "model.lambda": model.lam, "model.Delta": model.Delta,
+        "model.N": model.N, "model.lam": model.lam, "model.Delta": model.Delta,
         "model.a": model.a, "model.beta": model.beta, "model.phi": model.phi,
         "grid.dt": grid.dt, "grid.steps": grid.steps,
         "oracle.modes": dbath.modes, "oracle.omega_max": dbath.omega_max,

@@ -28,6 +28,11 @@ Sorensen, Numer. Math. 31, 1978).  At a zero of F the mode vector is
 diagonalizes once and hands the EigenDecomposition down through the ``dec``
 keyword; a determinant costs O(N) per point.
 
+The same structure seeds the search: the zeros of F sit one per level of
+H_S, so ``find_poles`` polishes one resummed estimate per level plus each
+gap midpoint and needs no scan of the window.  ``scan_grid`` samples the
+determinant landscape for the figure data only.
+
 The dense LU determinant and inverse iteration for the null vector live in
 the tests as independent oracles.  ``self_consistent_pole`` (fixed-point
 iteration on the dressed eigenproblem) stays here as the public cross-check
@@ -55,6 +60,9 @@ from .model import (
 #: A refined pole with Im E above this is a genuine prescription violation,
 #: below it is clamped to the real axis.
 IM_CLAMP = 1e-12
+#: Refined poles closer than this (relative to 1 + |E|) are one pole, and a
+#: pole this far outside the search window still counts as inside.
+CLUSTER_TOL = 1e-6
 
 
 def characteristic_matrix(model: ModelParams, bath: BathParams, energy: complex,
@@ -215,15 +223,15 @@ class DeterminantGrid:
 def scan_grid(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
               n_re: int = 200, n_im: int = 80,
               prescription: ResiduePrescription = ResiduePrescription.HALF,
-              sigma_mode: SigmaMode = SigmaMode.AUTO,
-              dec: EigenDecomposition | None = None) -> DeterminantGrid:
+              sigma_mode: SigmaMode = SigmaMode.AUTO) -> DeterminantGrid:
     """Sample ln|det M(E)| over the region, one row of constant Im E at a
-    time.  Under the real-axis mode the self-energy depends only on Re(E),
-    so each of the n_re columns costs one dispersive integral; the continued
-    mode takes the closed form for a whole row at once."""
+    time, for the determinant landscapes of the figure data.  Under the
+    real-axis mode the self-energy depends only on Re(E), so each of the
+    n_re columns costs one dispersive integral; the continued mode takes the
+    closed form for a whole row at once."""
     if n_re < 2 or n_im < 2:
         raise ParameterError("grid needs at least 2 points per axis")
-    dec = _decomposition(model, dec)
+    dec = diagonalize(build_hamiltonian(model))
     mode = sigma_mode.resolve(bath)
     re = np.linspace(region.re_min, region.re_max, n_re)
     im = np.linspace(region.im_min, region.im_max, n_im)
@@ -239,24 +247,6 @@ def scan_grid(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
     return DeterminantGrid(re=re, im=im, log_abs=out, phase=ph)
 
 
-def grid_minima(grid: DeterminantGrid) -> list[complex]:
-    """Interior strict local minima of ln|det|, sorted from deepest up; these
-    seed the Newton refinement."""
-    A = grid.log_abs
-    n_im, n_re = A.shape
-    c = A[1:-1, 1:-1]
-    strict = np.ones(c.shape, dtype=bool)
-    for di in range(3):
-        for dj in range(3):
-            if (di, dj) != (1, 1):
-                strict &= c < A[di:n_im - 2 + di, dj:n_re - 2 + dj]
-    i, j = np.nonzero(strict)
-    # a stable sort keeps equal depths in row-major order
-    order = np.argsort(c[i, j], kind="stable")
-    return [complex(grid.re[jj + 1], grid.im[ii + 1])
-            for ii, jj in zip(i[order], j[order])]
-
-
 def perturbative_pole_seeds(model: ModelParams, bath: BathParams,
                             region: PoleSearchRegion | None = None,
                             prescription: ResiduePrescription = ResiduePrescription.HALF,
@@ -270,9 +260,9 @@ def perturbative_pole_seeds(model: ModelParams, bath: BathParams,
 
     with g_reg the resolvent minus its singular term.  Resumming g_reg
     matters: collective weights reach w ~ 20, so the bare first-order shift
-    w_m * Sigma can be wildly wrong.  Grid minima merge when two poles sit
-    closer than a cell, which happens for near-degenerate doublets; one seed
-    per eigenstate cannot miss them.
+    w_m * Sigma can be wildly wrong.  One seed per eigenstate also keeps the
+    members of a near-degenerate doublet apart, which a grid coarser than
+    their splitting would merge.
 
     On top of the per-eigenstate estimates the midpoints of consecutive
     eigenvalues are seeded as well: the zeros of 1 + Sigma * g interlace the
@@ -353,11 +343,10 @@ def state_overlap(vector: np.ndarray, state: np.ndarray) -> float:
 def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
                 prescription: ResiduePrescription = ResiduePrescription.HALF,
                 sigma_mode: SigmaMode = SigmaMode.AUTO,
-                reference: np.ndarray | None = None,
                 tol: float = 1e-12, max_iter: int = 100,
                 dec: EigenDecomposition | None = None) -> ResonancePole:
     """Drive det M(E) to zero by a damped 2D Newton iteration in
-    (Re E, Im E).
+    (Re E, Im E).  The overlap is taken with the highest excited state.
 
     The determinant is evaluated in scaled form and the five-point stencil of
     each iteration shares a common scale, so the Jacobian stays well
@@ -416,12 +405,10 @@ def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
         y = 0.0
     energy = complex(x, y)
     vec = null_vector(model, bath, energy, prescription, sigma_mode, dec=dec)
-    if reference is None:
-        reference = highest_excited_state(dec)
     return ResonancePole(
         energy=energy,
         vector=vec,
-        overlap=state_overlap(vec, reference),
+        overlap=state_overlap(vec, highest_excited_state(dec)),
         iterations=it,
         converged=converged,
         residual=resid,
@@ -458,39 +445,31 @@ def transition_frequency(pole_a: complex | ResonancePole,
 
 
 def find_poles(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
-               n_re: int = 200, n_im: int = 80,
                prescription: ResiduePrescription = ResiduePrescription.HALF,
-               sigma_mode: SigmaMode = SigmaMode.AUTO,
-               extra_seeds: list[complex] | None = None,
-               cluster_tol: float = 1e-6) -> list[ResonancePole]:
-    """Locate all poles in a region: grid scan for minima, resummed
-    eigenstate seeds for doublets a coarse grid would merge, Newton polish,
-    then cluster duplicates.  Sorted by descending Re(E).  H_S is
-    diagonalized once for the whole search."""
+               sigma_mode: SigmaMode = SigmaMode.AUTO) -> list[ResonancePole]:
+    """Locate all poles in a region: Newton polish of every rank-one seed
+    (``perturbative_pole_seeds``: a resummed estimate per level of H_S and
+    each gap midpoint), keep the converged poles inside the region, then
+    drop duplicates.  The zeros of 1 + Sigma g follow the levels one by one,
+    so the seeds need no scan of the region.  Sorted by descending Re(E).
+    H_S is diagonalized once for the whole search."""
     dec = diagonalize(build_hamiltonian(model))
-    grid = scan_grid(model, bath, region, n_re, n_im, prescription, sigma_mode,
-                     dec=dec)
-    seeds = grid_minima(grid)
-    seeds += perturbative_pole_seeds(model, bath, region, prescription, sigma_mode,
-                                     dec=dec)
-    if extra_seeds:
-        seeds += list(extra_seeds)
-    reference = highest_excited_state(dec)
+    seeds = perturbative_pole_seeds(model, bath, region, prescription, sigma_mode,
+                                    dec=dec)
     poles: list[ResonancePole] = []
     for seed in seeds:
         try:
-            pole = refine_pole(model, bath, seed, prescription, sigma_mode,
-                               reference=reference, dec=dec)
+            pole = refine_pole(model, bath, seed, prescription, sigma_mode, dec=dec)
         except (ParameterError, NumericsError, PrescriptionViolationError):
             continue
         if not pole.converged:
             continue
         E = pole.energy
-        if not (region.re_min - cluster_tol <= E.real <= region.re_max + cluster_tol):
+        if not (region.re_min - CLUSTER_TOL <= E.real <= region.re_max + CLUSTER_TOL):
             continue
-        if not (region.im_min - cluster_tol <= E.imag <= region.im_max + cluster_tol):
+        if not (region.im_min - CLUSTER_TOL <= E.imag <= region.im_max + CLUSTER_TOL):
             continue
-        if any(abs(E - p.energy) < cluster_tol * (1.0 + abs(E)) for p in poles):
+        if any(abs(E - p.energy) < CLUSTER_TOL * (1.0 + abs(E)) for p in poles):
             continue
         poles.append(pole)
     poles.sort(key=lambda p: -p.energy.real)

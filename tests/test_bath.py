@@ -217,14 +217,24 @@ class TestSelfEnergy:
         with pytest.raises(ParameterError, match="guard"):
             self_energy_closed_form(bath, -150.0)
 
-    @pytest.mark.parametrize("continue_in_E", [False, True])
-    def test_closed_form_array_matches_scalar_calls(self, bath, continue_in_E):
+    @pytest.mark.parametrize("real_axis", [False, True])
+    def test_closed_form_array_matches_scalar_calls(self, bath, real_axis):
         E = np.array([[-5.0, 0.0, 1e-6 - 0.1j], [2.9522 - 1e-5j, 6.0 + 0.2j, 99.0]])
-        out = self_energy_closed_form(bath, E, FULL, continue_in_E)
+        if real_axis:
+            E = E.real
+        out = self_energy_closed_form(bath, E, FULL)
         assert out.shape == E.shape
         for e, value in zip(E.ravel(), out.ravel()):
-            expected = self_energy_closed_form(bath, complex(e), FULL, continue_in_E)
+            expected = self_energy_closed_form(bath, complex(e), FULL)
             assert value == pytest.approx(expected, rel=1e-15, abs=1e-15)
+
+    def test_closed_form_residue_term_on_the_real_axis(self, bath):
+        # On the real axis the continued spectral density is J(x) itself.
+        for x in (0.5, 2.9522, 9.0):
+            for p in (HALF, FULL):
+                assert self_energy_closed_form(bath, x, p).imag == pytest.approx(
+                    -p.residue_factor * spectral_density(bath, x), rel=1e-15)
+        assert self_energy_closed_form(bath, -3.0, HALF).imag == 0.0
 
     def test_closed_form_array_guards(self, bath):
         with pytest.raises(ParameterError, match="guard"):

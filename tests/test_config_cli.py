@@ -105,6 +105,7 @@ class TestParse:
     @pytest.mark.parametrize("key", [
         "solver.kernel_rule", "solver.markovian", "solver.memory_window",
         "solver.kernel_omega_max", "oracle.consistent_truncation", "oracle.method",
+        "poles.re_points", "poles.im_points",
     ])
     def test_removed_keys_are_rejected(self, key):
         with pytest.raises(ConfigError, match=f"unknown config key '{re.escape(key)}'"):
@@ -351,8 +352,7 @@ class TestCliErrors:
 
     def test_empty_pole_window_is_numeric_failure(self, tmp_path, capsys):
         rc = main(["poles", "--out", str(tmp_path),
-                   "--set", "poles.re_min=50", "--set", "poles.re_max=60",
-                   "--set", "poles.re_points=16", "--set", "poles.im_points=8"])
+                   "--set", "poles.re_min=50", "--set", "poles.re_max=60"])
         assert rc == 3
         assert "no poles" in capsys.readouterr().err
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -406,8 +406,7 @@ class TestCliSpectrumPolesSweepFig:
     def test_poles_non_ohmic_default_window(self, tmp_path, capsys):
         # Non-integer s takes the real-axis self-energy down to the window's
         # clipped edge at Re E = 1e-6.
-        rc = main(["poles", "--out", str(tmp_path), "--set", "bath.s=0.5",
-                   "--set", "poles.re_points=24", "--set", "poles.im_points=8"])
+        rc = main(["poles", "--out", str(tmp_path), "--set", "bath.s=0.5"])
         assert rc == 0
         assert capsys.readouterr().out.count("E = ") == 2
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from gaah.bath import BathParams, spectral_density
-from gaah.dynamics import TimeGrid, evolve
+from gaah.dynamics import TimeGrid, evolve, observables
 from gaah.errors import ParameterError
 from gaah.model import (
     ModelParams,
@@ -16,6 +16,9 @@ from gaah.model import (
     highest_excited_state,
 )
 from gaah.oracle import (
+    _EIG_DIMENSION_CAP,
+    _evolve_eig,
+    _evolve_rk4,
     compare_trajectories,
     discretize_bath,
     evolve_full,
@@ -105,9 +108,22 @@ class TestEvolveFull:
     def test_eig_and_rk4_agree(self, small_model, small_init, bath):
         db = discretize_bath(bath, 300, 40.0)
         grid = TimeGrid.from_t_max(0.002, 5.0)
-        eig_run = evolve_full(small_model, db, small_init, grid, method="eig")
-        rk4_run = evolve_full(small_model, db, small_init, grid, method="rk4")
-        assert compare_trajectories(eig_run, rk4_run) < 1e-7
+        eig = _evolve_eig(full_hamiltonian(small_model, db), small_model.N,
+                          small_init, grid)
+        rk4 = _evolve_rk4(small_model, db, small_init, grid)
+        sp_eig = observables(eig, small_init)["sp"]
+        sp_rk4 = observables(rk4, small_init)["sp"]
+        assert np.max(np.abs(sp_eig - sp_rk4)) < 1e-7
+
+    def test_route_chosen_by_dimension(self, small_model, small_init, bath):
+        grid = TimeGrid.from_t_max(0.01, 1.0)
+        small = evolve_full(small_model, discretize_bath(bath, 50, 40.0),
+                            small_init, grid)
+        assert small.params["oracle.method"] == "eig"
+        modes = _EIG_DIMENSION_CAP - small_model.N + 1
+        large = evolve_full(small_model, discretize_bath(bath, modes, 20.0),
+                            small_init, TimeGrid.from_t_max(0.001, 0.01))
+        assert large.params["oracle.method"] == "rk4"
 
     def test_refuses_past_recurrence(self, small_model, small_init, bath):
         db = discretize_bath(bath, 100, 80.0)  # recurrence ~ 7.85
@@ -117,14 +133,11 @@ class TestEvolveFull:
     def test_rk4_step_guard(self, small_model, small_init, bath):
         db = discretize_bath(bath, 500, 80.0)
         with pytest.raises(ParameterError, match="omega_max"):
-            evolve_full(small_model, db, small_init,
-                        TimeGrid.from_t_max(0.05, 5.0), method="rk4")
+            _evolve_rk4(small_model, db, small_init, TimeGrid.from_t_max(0.05, 5.0))
 
-    def test_bad_method_and_shape(self, small_model, small_init, bath):
+    def test_bad_shape(self, small_model, small_init, bath):
         db = discretize_bath(bath, 50, 40.0)
         grid = TimeGrid.from_t_max(0.01, 1.0)
-        with pytest.raises(ParameterError, match="method"):
-            evolve_full(small_model, db, small_init, grid, method="euler")
         with pytest.raises(ParameterError, match="shape"):
             evolve_full(small_model, db, np.ones(3, dtype=complex), grid)
 

@@ -9,16 +9,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gaah import spectrum
 from gaah.bath import BathParams, ResiduePrescription, SigmaMode, self_energy_eval
-from gaah.errors import ParameterError, PrescriptionViolationError
+from gaah.errors import NumericsError, ParameterError, PrescriptionViolationError
 from gaah.model import (
     ModelParams,
     build_hamiltonian,
     diagonalize,
     highest_excited_state,
 )
+from gaah.reference import REFERENCE_POLES
 from gaah.spectrum import (
-    DeterminantGrid,
+    CLUSTER_TOL,
     PoleSearchRegion,
     ResonancePole,
     char_determinant,
@@ -28,7 +30,6 @@ from gaah.spectrum import (
     collective_weights,
     default_search_region,
     find_poles,
-    grid_minima,
     null_vector,
     perturbative_pole_seeds,
     refine_pole,
@@ -74,6 +75,31 @@ def _grid_minima_loop(grid):
                 seeds.append((A[i, j], complex(grid.re[j], grid.im[i])))
     seeds.sort(key=lambda t: t[0])
     return [e for _, e in seeds]
+
+
+def _grid_seeded_poles(model, bath, region, sigma_mode=SigmaMode.AUTO):
+    """Oracle: the retired search.  It polished the interior strict minima
+    of ln|det| on a 200x80 scan first and the rank-one seeds after them,
+    with find_poles' window filter and duplicate rule; sorted by descending
+    Re(E)."""
+    grid = scan_grid(model, bath, region, 200, 80, HALF, sigma_mode)
+    seeds = _grid_minima_loop(grid) + perturbative_pole_seeds(
+        model, bath, region, HALF, sigma_mode)
+    poles = []
+    for seed in seeds:
+        try:
+            pole = refine_pole(model, bath, seed, HALF, sigma_mode)
+        except (ParameterError, NumericsError, PrescriptionViolationError):
+            continue
+        E = pole.energy
+        inside = (region.re_min - CLUSTER_TOL <= E.real <= region.re_max + CLUSTER_TOL
+                  and region.im_min - CLUSTER_TOL <= E.imag
+                  <= region.im_max + CLUSTER_TOL)
+        if pole.converged and inside and not any(
+                abs(E - p.energy) < CLUSTER_TOL * (1.0 + abs(E)) for p in poles):
+            poles.append(pole)
+    poles.sort(key=lambda p: -p.energy.real)
+    return poles
 
 
 def _inverse_iteration_null_vector(model, bath, E, prescription=HALF,
@@ -296,24 +322,6 @@ class TestScanGrid:
         assert points
         assert all(abs(p.real - top) < 0.005 for p in points)
 
-    def test_minima_match_loop_oracle(self, model, bath, fine_window):
-        grid = scan_grid(model, bath, fine_window, n_re=120, n_im=48)
-        assert grid_minima(grid) == _grid_minima_loop(grid)
-        # Ties, plateaus and -inf: strictness and order must survive.
-        rng = np.random.default_rng(7)
-        values = rng.integers(0, 4, size=(9, 11)).astype(float)
-        values[4, 5] = -np.inf
-        tied = DeterminantGrid(re=np.arange(11.0), im=np.arange(9.0),
-                               log_abs=values, phase=np.ones((9, 11), complex))
-        assert grid_minima(tied) == _grid_minima_loop(tied)
-        assert len(grid_minima(tied)) >= 3
-
-    def test_minima_seed_near_pole(self, model, bath, fine_window):
-        grid = scan_grid(model, bath, fine_window, n_re=120, n_im=48)
-        seeds = grid_minima(grid)
-        assert seeds
-        assert min(abs(s.real - POLE_1.real) for s in seeds) < 0.005
-
 
 class TestRefinePole:
     def test_top_pole(self, model, bath):
@@ -427,6 +435,32 @@ class TestFindPoles:
     def test_beat_frequency(self, poles):
         assert transition_frequency(poles[0], poles[1]) == pytest.approx(
             0.069933, abs=1e-5)
+
+    @pytest.mark.parametrize("case", [
+        *[(key, SigmaMode.AUTO, 1.0) for key in sorted(REFERENCE_POLES)],
+        ((0.5, 1.0, 0.1), SigmaMode.REAL_AXIS, 1.0),
+        ((0.0, 2.5, 0.1), SigmaMode.AUTO, 0.75),
+    ], ids=lambda c: "a{:g}-Delta{:g}-eta{:g}-{}-s{:g}".format(*c[0], c[1].value, c[2]))
+    def test_matches_the_grid_seeded_search(self, case):
+        # Seeding from the rank-one structure alone loses no pole that the
+        # retired determinant-scan seeds reached.
+        (a, delta, eta), sigma_mode, s = case
+        model = ModelParams(a=a, Delta=delta)
+        bath = BathParams(eta=eta, s=s)
+        region = default_search_region(model)
+        found = find_poles(model, bath, region, HALF, sigma_mode)
+        expected = _grid_seeded_poles(model, bath, region, sigma_mode)
+        assert len(found) == len(expected) >= 2
+        for p, q in zip(found, expected):
+            assert abs(p.energy - q.energy) <= 1e-12
+
+    def test_never_scans(self, model, bath, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("find_poles scanned the determinant grid")
+
+        monkeypatch.setattr(spectrum, "scan_grid", refuse)
+        poles = find_poles(model, bath, default_search_region(model))
+        assert poles[0].energy.real == pytest.approx(POLE_1.real, abs=5e-6)
 
     def test_seeds_cover_the_doublet(self, model, bath):
         # Both members of the near-degenerate top doublet get a seed inside

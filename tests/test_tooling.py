@@ -1,9 +1,11 @@
-"""Names the benchmark harness depends on.
+"""Names and commands the benchmark harness depends on.
 
 The benchmark's traced run (``perfbench/worker.py``) rebinds gaah functions
 by ``module:attribute`` name to time them.  A rename or deletion in
 ``src/`` would make that run fail, or silently stop measuring a layer, so
-every name it patches must keep resolving.
+every name it patches must keep resolving.  Likewise every CLI command its
+workloads (``perfbench/workloads.py``) run must keep parsing, so that a
+removed option fails here rather than as benchmark failures.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import importlib
 import importlib.util
 import os
 import sys
+
+from gaah import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -46,3 +50,24 @@ def test_every_traced_target_resolves():
             if not callable(owner):
                 missing.append(target)
     assert missing == []
+
+
+def test_every_benchmark_command_parses(tmp_path, monkeypatch):
+    workloads = _load_worker().workloads
+    commands = []
+    monkeypatch.setattr(workloads, "run_cli",
+                        lambda argv: commands.append(argv) or (0, ""))
+    for workload in workloads.WORKLOADS.values():
+        for tiny in (False, True):  # the benchmark's and the self-test's sizes
+            wl = workload(seed=1, tiny=tiny)
+            wl.setup()
+            for op in wl.round_ops(0):
+                if op.kind != "evolve":  # traj_long calls the library, not the CLI
+                    op.call(str(tmp_path))
+    assert {argv[0] for argv in commands} == {"figdata", "oracle", "poles"}
+    keys = set()
+    for argv in commands:
+        args = cli._build_parser().parse_args(argv)
+        cli._load_config(args)
+        keys.update(item.partition("=")[0] for item in args.overrides)
+    assert len(keys) >= 11
