@@ -204,13 +204,17 @@ def _cmd_oracle(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
     return 0
 
 
+def _sweep_file(key: str, value: float) -> str:
+    """File name of one sweep point's trajectory."""
+    return f"sweep_{key.split('.', 1)[1]}{value:g}.csv"
+
+
 def _sweep_point(serialized: str, key: str, value: float, out_dir: str) -> dict:
     """Run one sweep point in a worker process and write its trajectory."""
     raw = str(int(value)) if REGISTRY[key].kind == "int" else repr(float(value))
     cfg = parse_config(serialized, source="<sweep>", overrides=[f"{key}={raw}"])
     traj = evolve(cfg.model, cfg.bath, cfg.initial_state(), cfg.grid)
-    short = key.split(".", 1)[1]
-    path = os.path.join(out_dir, f"sweep_{short}{value:g}.csv")
+    path = os.path.join(out_dir, _sweep_file(key, value))
     write_trajectory_csv(traj, path, {"sweep.parameter": key})
     return {
         "path": path,
@@ -228,6 +232,14 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
     if REGISTRY[key].kind not in ("float", "int"):
         raise ConfigError(f"sweep.parameter: {key!r} is not numeric")
     values = cfg.values["sweep.values"]
+    # Values that print alike would write one file and lose a trajectory.
+    first_of: dict[str, float] = {}
+    for value in values:
+        name = _sweep_file(key, value)
+        if name in first_of:
+            raise ConfigError(f"sweep.values: {first_of[name]!r} and {value!r} "
+                              f"both write {name}")
+        first_of[name] = value
     workers = cfg.values["sweep.workers"] or min(len(values), os.cpu_count() or 1)
     serialized = cfg.serialize()
     rows = []

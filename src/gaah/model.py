@@ -141,11 +141,14 @@ def state_ipr(v: np.ndarray) -> float:
 
     1/N for a uniform state, 1 for a single occupied site.
     """
-    v = np.asarray(v)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
+    v = np.abs(np.asarray(v))
+    peak = np.max(v)
+    if peak == 0.0:
         raise ParameterError("cannot normalize a zero vector")
-    w = np.abs(v / nrm) ** 2
+    # Scaled to a largest entry of 1 first: the squares of a tiny vector
+    # would otherwise lose digits as subnormals.
+    w = (v / peak) ** 2
+    w /= np.sum(w)
     return float(np.sum(w * w))
 
 

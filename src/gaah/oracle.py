@@ -36,6 +36,11 @@ from .model import ModelParams, build_hamiltonian
 #: eig path memory/time stays reasonable up to this total dimension
 _EIG_DIMENSION_CAP = 4000
 
+#: Times per block of the eig path: its phase table holds _PHASE_BLOCK rows
+#: of N + M phases, about 8 MB at N + M = 2007, well under the
+#: eigendecomposition itself.
+_PHASE_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class DiscreteBath:
@@ -78,17 +83,24 @@ def full_hamiltonian(model: ModelParams, dbath: DiscreteBath) -> np.ndarray:
 
 
 def _evolve_eig(H: np.ndarray, N: int, init: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """System amplitudes from the eigendecomposition of H, ``_PHASE_BLOCK``
+    times per matrix product: the phases exp(-i E p dt) of one block are
+    tabulated once and shifted to each block's start time."""
     try:
         evals, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"full-model diagonalization failed: {exc}") from exc
-    psi0 = np.zeros(H.shape[0], dtype=complex)
-    psi0[:N] = init
-    c = V.T @ psi0
-    V_sys = np.ascontiguousarray(V[:N, :])
+    V_sys = V[:N, :]
+    c = V_sys.T @ np.asarray(init, dtype=complex)
+    V_sys_T = np.ascontiguousarray(V_sys.T)
+    rows = min(_PHASE_BLOCK, grid.steps + 1)
+    table = np.exp(-1j * grid.dt * np.outer(np.arange(rows), evals))
+    times = grid.times()
     alphas = np.empty((grid.steps + 1, N), dtype=complex)
-    for i, t in enumerate(grid.times()):
-        alphas[i] = V_sys @ (np.exp(-1j * evals * t) * c)
+    for k0 in range(0, grid.steps + 1, rows):
+        k1 = min(k0 + rows, grid.steps + 1)
+        shift = np.exp(-1j * evals * times[k0]) * c
+        alphas[k0:k1] = (table[:k1 - k0] * shift) @ V_sys_T
     return alphas
 
 

@@ -424,6 +424,17 @@ class TestCliSpectrumPolesSweepFig:
         assert len(manifest["files"]) == 3
         assert capsys.readouterr().out.count("SP(2)") == 2
 
+    def test_sweep_rejects_values_that_share_a_file(self, tmp_path, capsys):
+        rc = main(["sweep", "--out", str(tmp_path),
+                   "--set", "sweep.values=1,1.0000001", "--set", "model.N=7",
+                   "--set", "grid.dt=0.02", "--set", "grid.t_max=2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sweep.values" in err and "sweep_Delta1.csv" in err
+        assert not list(tmp_path.glob("sweep_*.csv"))   # rejected before any run
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "config-error"
+
     def test_figdata_bundle(self, tmp_path, capsys):
         assert main(["figdata", "--out", str(tmp_path),
                      "--set", "fig.bundle=figA2"]) == 0

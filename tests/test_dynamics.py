@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -152,6 +154,26 @@ class TestEvolveClosedSystem:
         traj = evolve(model, DECOUPLED, init, grid)
         assert np.max(np.abs(traj.norm - 1.0)) <= 1e-12
         assert np.min(traj.sp) < 0.999  # it actually moves
+
+    def test_exact_over_the_full_horizon(self, model):
+        # At eta = 0 every step is exp(-i H dt): over all 120,000 steps of a
+        # t = 1200 run the trajectory must stay on U e^{-i lambda t} U^T alpha_0.
+        rng = np.random.default_rng(5)
+        init = rng.standard_normal(model.N) + 1j * rng.standard_normal(model.N)
+        init /= np.linalg.norm(init)
+        grid = TimeGrid.from_t_max(0.01, 1200.0)
+        traj = evolve(model, DECOUPLED, init, grid)
+        dec = diagonalize(build_hamiltonian(model))
+        beta = dec.states.T @ init
+        overlap = np.zeros(grid.steps + 1, dtype=complex)
+        collective = np.zeros(grid.steps + 1, dtype=complex)
+        for lam, b, c in zip(dec.energies, beta, dec.states.sum(axis=0)):
+            phase = np.exp(-1j * lam * grid.times())
+            overlap += abs(b) ** 2 * phase
+            collective += c * b * phase
+        assert np.max(np.abs(traj.sp - np.abs(overlap) ** 2)) <= 1e-12
+        assert np.max(np.abs(traj.norm - 1.0)) <= 1e-12
+        assert np.max(np.abs(traj.collective - collective)) <= 1e-11
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +381,39 @@ class TestBlockedHistory:
             evolve(model, bath, es_state, grid)
         assert direct.value.step > B
         assert blocked.value.step == direct.value.step
+
+    def test_blowup_inside_one_block(self, model, es_state, monkeypatch):
+        # Tables cut after two lags at eta = 10 pump norm so hard that the
+        # amplitudes overflow in the block of the first bad step.  The block
+        # must report that step as the direct loop does, without letting the
+        # overflow raise a warning or reach the far history of a later block.
+        bath = BathParams(eta=10.0)
+        grid = TimeGrid(dt=0.01, steps=2 * B)
+        tables = _cut_history(*_product_tables(bath, grid.dt, grid.steps), 2)
+        with pytest.raises(UnstableEvolutionError) as direct:
+            _direct_evolve(model, bath, es_state, grid, tables=tables)
+        # The reference with the bound lifted: its first non-finite norm is
+        # in the same block.
+        monkeypatch.setitem(globals(), "NORM_BLOWUP", math.inf)
+        with np.errstate(all="ignore"):
+            _, norm = _direct_evolve(model, bath, es_state, grid, tables=tables)
+        overflow = int(np.flatnonzero(~np.isfinite(norm))[0])
+        assert (overflow - 1) // B == (direct.value.step - 1) // B
+
+        monkeypatch.setattr("gaah.dynamics._product_tables",
+                            lambda *args: tuple(t.copy() for t in tables))
+        fft_inputs_finite = []
+        fft = scipy.fft.fft
+        monkeypatch.setattr(scipy.fft, "fft", lambda x, *args, **kw: (
+            fft_inputs_finite.append(bool(np.all(np.isfinite(x))))
+            or fft(x, *args, **kw)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnstableEvolutionError) as blocked:
+                evolve(model, bath, es_state, grid)
+        assert blocked.value.step == direct.value.step
+        assert blocked.value.norm_sq == pytest.approx(direct.value.norm_sq, rel=1e-12)
+        assert all(fft_inputs_finite)
 
 
 class TestConvergence:

@@ -186,6 +186,12 @@ class TestStateIpr:
             return
         assert state_ipr(scale * v) == pytest.approx(state_ipr(v), rel=1e-9)
 
+    def test_tiny_vector(self):
+        # Its squares are subnormal: 1.9e-156 squared is 3.8e-312.
+        v = np.array([0.0, 1.9400474806536402e-156])
+        assert state_ipr(v) == 1.0
+        assert state_ipr(0.015625 * v) == 1.0
+
 
 class TestHighestExcitedState:
     def test_matches_top_column(self, eig):

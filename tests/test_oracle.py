@@ -17,6 +17,7 @@ from gaah.model import (
 )
 from gaah.oracle import (
     _EIG_DIMENSION_CAP,
+    _PHASE_BLOCK,
     _evolve_eig,
     _evolve_rk4,
     compare_trajectories,
@@ -115,6 +116,17 @@ class TestEvolveFull:
         sp_rk4 = observables(rk4, small_init)["sp"]
         assert np.max(np.abs(sp_eig - sp_rk4)) < 1e-7
 
+    @pytest.mark.parametrize("steps", [_PHASE_BLOCK - 1, _PHASE_BLOCK,
+                                       _PHASE_BLOCK + 1, 3 * _PHASE_BLOCK + 5])
+    def test_blocked_phases_match_per_time_loop(self, small_model, small_init,
+                                                bath, steps):
+        H = full_hamiltonian(small_model, discretize_bath(bath, 300, 40.0))
+        grid = TimeGrid(dt=0.01, steps=steps)
+        blocked = _evolve_eig(H, small_model.N, small_init, grid)
+        assert blocked.shape == (steps + 1, small_model.N)
+        assert np.max(np.abs(blocked - _per_time_eig(H, small_model.N, small_init,
+                                                    grid))) <= 1e-13
+
     def test_route_chosen_by_dimension(self, small_model, small_init, bath):
         grid = TimeGrid.from_t_max(0.01, 1.0)
         small = evolve_full(small_model, discretize_bath(bath, 50, 40.0),
@@ -140,6 +152,13 @@ class TestEvolveFull:
         grid = TimeGrid.from_t_max(0.01, 1.0)
         with pytest.raises(ParameterError, match="shape"):
             evolve_full(small_model, db, np.ones(3, dtype=complex), grid)
+
+
+def _per_time_eig(H, N, init, grid):
+    """The eig propagation one time at a time: exp(-i E t) for each t."""
+    evals, V = np.linalg.eigh(H)
+    c = V[:N, :].T @ init
+    return np.array([V[:N, :] @ (np.exp(-1j * evals * t) * c) for t in grid.times()])
 
 
 class TestCompare:

@@ -10,12 +10,15 @@ removed option fails here rather than as benchmark failures.
 
 from __future__ import annotations
 
+import collections
 import importlib
 import importlib.util
 import os
 import sys
 
-from gaah import cli
+from gaah import cli, dynamics, oracle
+from gaah.bath import BathParams
+from gaah.model import ModelParams, build_hamiltonian, diagonalize, highest_excited_state
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -71,3 +74,33 @@ def test_every_benchmark_command_parses(tmp_path, monkeypatch):
         cli._load_config(args)
         keys.update(item.partition("=")[0] for item in args.overrides)
     assert len(keys) >= 11
+
+
+def test_traced_layers_are_called_through_their_bindings(monkeypatch):
+    # The traced counters read these module globals: an evolve that called
+    # the model layer by another route would count 0 diagonalizations.
+    model = ModelParams(N=7)
+    init = highest_excited_state(diagonalize(build_hamiltonian(model)))
+    calls = collections.Counter()
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("diagonalize", "build_hamiltonian"):
+        counted(dynamics, name)
+    counted(oracle, "evolve_full")
+    grid = dynamics.TimeGrid(dt=0.01, steps=2 * dynamics.HISTORY_BLOCK + 1)
+    for bath in (BathParams(), BathParams(eta=0.0)):
+        calls.clear()
+        dynamics.evolve(model, bath, init, grid)
+        assert calls == {"diagonalize": 1, "build_hamiltonian": 1}
+    calls.clear()
+    oracle.validate_against_oracle(model, BathParams(), init,
+                                   dynamics.TimeGrid.from_t_max(0.01, 1.0),
+                                   modes=100, omega_max=40.0)
+    assert calls == {"evolve_full": 1, "diagonalize": 1, "build_hamiltonian": 1}
