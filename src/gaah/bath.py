@@ -86,15 +86,6 @@ def _spectral_density_slope(b: BathParams, omega: float) -> float:
     return b.eta * b.omega_c ** (1.0 - b.s) * e * (b.s * w ** (b.s - 1.0) - w ** b.s / b.omega_c)
 
 
-def spectral_weight(b: BathParams, omega_max: float = math.inf) -> float:
-    """int_0^omega_max J(w) dw; for s = 1 and omega_max = inf this is
-    eta * omega_c**2."""
-    val, _ = quad(lambda w: spectral_density(b, w), 0.0, omega_max,
-                  points=[b.omega_c] if math.isfinite(omega_max) else None,
-                  **_QUAD_OPTS)
-    return val
-
-
 def memory_kernel(b: BathParams, t, omega_max: float = math.inf):
     """Bath correlation function f(t) = int_0^omega_max J(w) exp(-i w t) dw.
 

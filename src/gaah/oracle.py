@@ -220,8 +220,8 @@ def validate_against_oracle(model: ModelParams, bath: BathParams, init: np.ndarr
 
     dbath = discretize_bath(bath, modes, omega_max)
     # The exact side first: its full-model eigendecomposition is the memory
-    # peak of a validation, and the integrator's FFT plans and buffers, which
-    # stay resident afterwards, then do not add to it.
+    # peak of a validation.  The integrator that follows holds only
+    # block-sized history spectra and FFT plans (2 * HISTORY_BLOCK points).
     exact = evolve_full(model, dbath, init, grid)
     solver = evolve(model, bath, init, grid, kernel_omega_max=omega_max)
     dev = compare_trajectories(solver, exact, "sp")

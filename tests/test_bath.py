@@ -25,13 +25,21 @@ from gaah.bath import (
     self_energy_closed_form,
     self_energy_eval,
     spectral_density,
-    spectral_weight,
 )
 from gaah.dynamics import _product_tables
 from gaah.errors import ParameterError
 
 HALF = ResiduePrescription.HALF
 FULL = ResiduePrescription.FULL
+
+
+def spectral_weight(b: BathParams, omega_max: float = math.inf) -> float:
+    """int_0^omega_max J(w) dw by adaptive quadrature; for s = 1 and
+    omega_max = inf this is eta * omega_c**2."""
+    val, _ = quad(lambda w: spectral_density(b, w), 0.0, omega_max,
+                  points=[b.omega_c] if math.isfinite(omega_max) else None,
+                  epsabs=1e-13, epsrel=1e-12, limit=400)
+    return val
 
 
 def kernel_by_fourier_quadrature(b: BathParams, t: float,

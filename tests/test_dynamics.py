@@ -17,6 +17,7 @@ from gaah.dynamics import (
     HISTORY_BLOCK,
     NORM_BLOWUP,
     TimeGrid,
+    _History,
     _product_tables,
     beat_envelope,
     convergence_check,
@@ -414,6 +415,29 @@ class TestBlockedHistory:
         assert blocked.value.step == direct.value.step
         assert blocked.value.norm_sq == pytest.approx(direct.value.norm_sq, rel=1e-12)
         assert all(fft_inputs_finite)
+
+    @pytest.mark.parametrize("omega_max", [math.inf, 80.0])
+    @pytest.mark.parametrize("steps", [B // 2, B, B + 1, 2 * B,
+                                       12 * B - 1, 12 * B, 12 * B + 1])
+    def test_far_matches_direct_sum(self, model, eig, bath, steps, omega_max):
+        # Every window of W, d = 1..11, meets a random history: the far sums
+        # of each block against sum_{j<a} S_j W_{q-j} + S_0 D_q, summed term
+        # by term, relative to the sum of the magnitudes of those terms.
+        dt = 0.01
+        W, T = _product_tables(bath, dt, steps, omega_max)
+        block = min(B, steps)
+        Z = np.exp(-1j * dt * np.outer(np.arange(1, block + 1), eig.energies))
+        history = _History(W, T, Z, eig.states.sum(axis=0), dt, steps)
+        rng = np.random.default_rng(steps)
+        S = rng.normal(size=steps + 1) + 1j * rng.normal(size=steps + 1)
+        D = T - W
+        for a in range(1, steps + 1, block):
+            b = min(a + block, steps + 1)
+            # "valid" outputs i of W[1:b] * S[:a] are the sums at q = a + i.
+            direct = np.convolve(W[1:b], S[:a], "valid") + S[0] * D[a:b]
+            scale = np.convolve(np.abs(W[1:b]), np.abs(S[:a]), "valid")
+            assert np.all(np.abs(history.far(S, a, b) - direct) <= 1e-13 * scale)
+        assert hasattr(history, "W_spec") == (steps > B)
 
 
 class TestConvergence:

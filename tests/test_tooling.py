@@ -5,7 +5,9 @@ by ``module:attribute`` name to time them.  A rename or deletion in
 ``src/`` would make that run fail, or silently stop measuring a layer, so
 every name it patches must keep resolving.  Likewise every CLI command its
 workloads (``perfbench/workloads.py``) run must keep parsing, so that a
-removed option fails here rather than as benchmark failures.
+removed option fails here rather than as benchmark failures.  The far
+history of ``evolve`` must stay block-sized, so that a long trajectory, the
+benchmark's largest op, keeps its cost.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import importlib
 import importlib.util
 import os
 import sys
+
+import numpy as np
+import scipy.fft
 
 from gaah import cli, dynamics, oracle
 from gaah.bath import BathParams
@@ -104,3 +109,27 @@ def test_traced_layers_are_called_through_their_bindings(monkeypatch):
                                    dynamics.TimeGrid.from_t_max(0.01, 1.0),
                                    modes=100, omega_max=40.0)
     assert calls == {"evolve_full": 1, "diagonalize": 1, "build_hamiltonian": 1}
+
+
+def test_history_transforms_stay_block_sized(monkeypatch):
+    # A full-length FFT of the history per block would make a long run
+    # O(n^2 / B log n) again while every number stayed the same.
+    lengths = []
+
+    def recorded(name):
+        transform = getattr(scipy.fft, name)
+
+        def wrapper(x, n=None, *args, **kwargs):
+            lengths.append(n or np.shape(x)[kwargs.get("axis", -1)])
+            return transform(x, n, *args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, wrapper)
+
+    recorded("fft")
+    recorded("ifft")
+    model = ModelParams(N=7)
+    init = highest_excited_state(diagonalize(build_hamiltonian(model)))
+    block = dynamics.HISTORY_BLOCK
+    dynamics.evolve(model, BathParams(), init,
+                    dynamics.TimeGrid(dt=0.01, steps=10 * block + 1))
+    assert len(lengths) >= 10
+    assert max(lengths) <= 2 * block
