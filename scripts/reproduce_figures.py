@@ -5,9 +5,9 @@ Thin driver over ``gaah figdata``: one subdirectory per bundle, each with
 its own manifest.  By default the runs use the scaled grids (shorter
 horizon, coarser step); pass ``--full`` for the long-horizon grids
 (t = 1200, dt = 0.01).  On one core of a 2-core Xeon VM the scaled set
-takes about 7 s and the full set about 35 s: some 1.8 s per t = 1200,
-dt = 0.01 trajectory including its CSV, 23 trajectories and about 330 MB
-of CSV.
+takes about 7 s and the full set about 35 s: 23 trajectories of about
+1.5 s each at t = 1200, dt = 0.01 (0.35 s integrating, 1.1 s writing the
+CSV), about 340 MB of CSV and a peak RSS of about 140 MB.
 
 Usage:
     python3 scripts/reproduce_figures.py [--out DIR] [--full] [--bundle NAME ...]

@@ -48,7 +48,6 @@ from .model import (
     diagonalize,
     highest_excited_state,
     mobility_edge,
-    onsite_potential,
     state_ipr,
 )
 from .oracle import (
@@ -63,7 +62,6 @@ from .spectrum import (
     DeterminantGrid,
     PoleSearchRegion,
     ResonancePole,
-    char_determinant,
     char_determinant_scaled,
     collective_weights,
     default_search_region,

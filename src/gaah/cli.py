@@ -48,7 +48,6 @@ from .figures import build_bundle
 from .model import (
     build_hamiltonian,
     diagonalize,
-    highest_excited_state,
     mobility_edge,
     state_ipr,
 )
@@ -209,10 +208,21 @@ def _sweep_file(key: str, value: float) -> str:
     return f"sweep_{key.split('.', 1)[1]}{value:g}.csv"
 
 
+def _sweep_config(serialized: str, key: str, value: float) -> RunConfig:
+    """The configuration of one sweep point.  An int key is handed an
+    integral value as an integer and any other value as written, which its
+    parse then rejects."""
+    integral = REGISTRY[key].kind == "int" and value.is_integer()
+    raw = str(int(value)) if integral else repr(value)
+    try:
+        return parse_config(serialized, source="<sweep>", overrides=[f"{key}={raw}"])
+    except ConfigError as exc:
+        raise ConfigError(f"sweep.values: {value!r}: {exc}") from None
+
+
 def _sweep_point(serialized: str, key: str, value: float, out_dir: str) -> dict:
     """Run one sweep point in a worker process and write its trajectory."""
-    raw = str(int(value)) if REGISTRY[key].kind == "int" else repr(float(value))
-    cfg = parse_config(serialized, source="<sweep>", overrides=[f"{key}={raw}"])
+    cfg = _sweep_config(serialized, key, value)
     traj = evolve(cfg.model, cfg.bath, cfg.initial_state(), cfg.grid)
     path = os.path.join(out_dir, _sweep_file(key, value))
     write_trajectory_csv(traj, path, {"sweep.parameter": key})
@@ -232,16 +242,18 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
     if REGISTRY[key].kind not in ("float", "int"):
         raise ConfigError(f"sweep.parameter: {key!r} is not numeric")
     values = cfg.values["sweep.values"]
-    # Values that print alike would write one file and lose a trajectory.
+    serialized = cfg.serialize()
+    # Every point is checked before any runs.  Values that print alike
+    # would write one file and lose a trajectory.
     first_of: dict[str, float] = {}
     for value in values:
+        _sweep_config(serialized, key, value)
         name = _sweep_file(key, value)
         if name in first_of:
             raise ConfigError(f"sweep.values: {first_of[name]!r} and {value!r} "
                               f"both write {name}")
         first_of[name] = value
     workers = cfg.values["sweep.workers"] or min(len(values), os.cpu_count() or 1)
-    serialized = cfg.serialize()
     rows = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_sweep_point, serialized, key, v, out_dir)

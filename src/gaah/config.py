@@ -73,6 +73,9 @@ class KeySpec:
         except ValueError:
             raise ConfigError(
                 f"{self.name}: expected {self._kind_label()}, got {raw!r}") from None
+        # opt_float alone may be infinite: an open search-window bound.
+        if self.kind in ("float", "float_list") and not np.all(np.isfinite(value)):
+            raise ConfigError(f"{self.name}: must be finite; got {raw!r}")
         if self.kind == "choice" and value not in self.choices:
             raise ConfigError(
                 f"{self.name}: must be one of {', '.join(self.choices)}; got {raw!r}")
@@ -110,10 +113,8 @@ def _positive(v) -> bool:
 _KEYS = [
     KeySpec("model.N", "int", 21, "number of lattice sites",
             check=lambda v: v >= 2, constraint="must be >= 2"),
-    KeySpec("model.lam", "float", 1.0, "hopping amplitude",
-            check=lambda v: math.isfinite(v), constraint="must be finite"),
-    KeySpec("model.Delta", "float", 2.5, "onsite potential strength",
-            check=lambda v: math.isfinite(v), constraint="must be finite"),
+    KeySpec("model.lam", "float", 1.0, "hopping amplitude"),
+    KeySpec("model.Delta", "float", 2.5, "onsite potential strength"),
     KeySpec("model.a", "float", 0.0, "potential deformation, |a| < 1",
             check=lambda v: abs(v) < 1.0, constraint="must satisfy |a| < 1"),
     KeySpec("model.beta", "float", GOLDEN_MEAN_CONJUGATE,
@@ -233,14 +234,6 @@ def registry_help() -> str:
     return "\n".join(lines)
 
 
-_PRESCRIPTIONS = {"half": ResiduePrescription.HALF, "full": ResiduePrescription.FULL}
-_SIGMA_MODES = {
-    "auto": SigmaMode.AUTO,
-    "real-axis": SigmaMode.REAL_AXIS,
-    "continued": SigmaMode.CONTINUED,
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated configuration with typed views onto every module."""
@@ -294,11 +287,11 @@ class RunConfig:
 
     @property
     def prescription(self) -> ResiduePrescription:
-        return _PRESCRIPTIONS[self.values["poles.prescription"]]
+        return ResiduePrescription(self.values["poles.prescription"])
 
     @property
     def sigma_mode(self) -> SigmaMode:
-        return _SIGMA_MODES[self.values["poles.sigma_mode"]]
+        return SigmaMode(self.values["poles.sigma_mode"])
 
     def initial_state(self) -> np.ndarray:
         state = self.values["init.state"]

@@ -84,6 +84,12 @@ NORM_BLOWUP = 1.0 + 1e-4
 #: n * HISTORY_BLOCK operations.
 HISTORY_BLOCK = 2048
 
+#: Polynomial order of the Savitzky-Golay fit in ``beat_envelope``.
+ENVELOPE_ORDER = 2
+#: ``dominant_period`` keeps maxima whose prominence exceeds this share of
+#: the series range.
+PEAK_PROMINENCE_FRAC = 0.05
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -427,8 +433,7 @@ def _run_metadata(model: ModelParams, bath: BathParams, grid: TimeGrid,
     }
 
 
-def beat_envelope(series: np.ndarray, dt: float, window: float = 5.0,
-                  order: int = 2) -> np.ndarray:
+def beat_envelope(series: np.ndarray, dt: float, window: float = 5.0) -> np.ndarray:
     """Beat-scale component of an observable series.
 
     A local quadratic fit (Savitzky-Golay) over ``window`` time units
@@ -443,21 +448,20 @@ def beat_envelope(series: np.ndarray, dt: float, window: float = 5.0,
     if dt <= 0.0:
         raise ParameterError("dt must be > 0")
     length = int(round(window / dt)) | 1
-    if length <= order + 1:
+    if length <= ENVELOPE_ORDER + 1:
         raise ParameterError(
             f"smoothing window {window} spans too few samples at dt = {dt}")
     if length > series.size:
         raise ParameterError(
             f"smoothing window {window} exceeds the series span")
-    return scipy.signal.savgol_filter(series, length, order)
+    return scipy.signal.savgol_filter(series, length, ENVELOPE_ORDER)
 
 
 def dominant_period(times: np.ndarray, series: np.ndarray,
-                    min_prominence_frac: float = 0.05,
                     min_separation: float | None = None) -> float:
     """Mean spacing of the prominent maxima of an oscillating series.
 
-    Peaks are kept when their prominence exceeds ``min_prominence_frac`` of
+    Peaks are kept when their prominence exceeds ``PEAK_PROMINENCE_FRAC`` of
     the series range; at least two are required.  ``min_separation`` (in
     time units) additionally keeps only the highest peak within each such
     distance, which reads off the beat spacing of a series that still
@@ -476,7 +480,7 @@ def dominant_period(times: np.ndarray, series: np.ndarray,
             raise ParameterError("min_separation must be > 0")
         dt = float(times[1] - times[0]) if times.size > 1 else 1.0
         distance = max(1, int(round(min_separation / dt)))
-    peaks, _ = scipy.signal.find_peaks(series, prominence=min_prominence_frac * span,
+    peaks, _ = scipy.signal.find_peaks(series, prominence=PEAK_PROMINENCE_FRAC * span,
                                        distance=distance)
     if len(peaks) < 2:
         raise ParameterError(

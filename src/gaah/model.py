@@ -74,18 +74,6 @@ class EigenDecomposition:
     params: ModelParams = field(default=None, repr=False)
 
 
-def onsite_potential(params: ModelParams, n: int) -> float:
-    """Onsite energy of site ``n`` (1-based).
-
-    Raises :class:`ParameterError` if ``n`` is out of range.
-    """
-    if not 1 <= n <= params.N:
-        raise ParameterError(f"site index must lie in 1..{params.N}, got {n}")
-    theta = 2.0 * math.pi * params.beta * n + params.phi
-    c = math.cos(theta)
-    return params.Delta * c / (1.0 - params.a * c)
-
-
 def onsite_profile(params: ModelParams) -> np.ndarray:
     """Vector of onsite energies for sites 1..N."""
     n = np.arange(1, params.N + 1, dtype=float)

@@ -33,10 +33,11 @@ H_S, so ``find_poles`` polishes one resummed estimate per level plus each
 gap midpoint and needs no scan of the window.  ``scan_grid`` samples the
 determinant landscape for the figure data only.
 
-The dense LU determinant and inverse iteration for the null vector live in
-the tests as independent oracles.  ``self_consistent_pole`` (fixed-point
-iteration on the dressed eigenproblem) stays here as the public cross-check
-of refined poles.
+The secular form is the only route that ships.  The dense matrix M(E), its
+LU determinant, inverse iteration for the null vector and the sign-crossing
+cells of a scanned grid live in the tests as independent oracles.  ``self_consistent_pole`` (fixed-point iteration on
+the dressed eigenproblem) stays here as the public cross-check of refined
+poles.
 """
 
 from __future__ import annotations
@@ -63,16 +64,15 @@ IM_CLAMP = 1e-12
 #: Refined poles closer than this (relative to 1 + |E|) are one pole, and a
 #: pole this far outside the search window still counts as inside.
 CLUSTER_TOL = 1e-6
-
-
-def characteristic_matrix(model: ModelParams, bath: BathParams, energy: complex,
-                          prescription: ResiduePrescription = ResiduePrescription.HALF,
-                          sigma_mode: SigmaMode = SigmaMode.AUTO) -> np.ndarray:
-    sigma = self_energy_eval(bath, energy, prescription, sigma_mode)
-    H = build_hamiltonian(model).matrix.astype(complex)
-    M = H + sigma * np.ones((model.N, model.N), dtype=complex)
-    M[np.diag_indices(model.N)] -= energy
-    return M
+#: A pole iteration stops once its step, relative to 1 + |E|, falls below this.
+POLE_TOL = 1e-12
+#: Iteration caps of the Newton polish and of the fixed-point cross-check.
+NEWTON_MAX_ITER = 100
+FIXED_POINT_MAX_ITER = 200
+#: The default search window: SEARCH_MARGIN either side of the top level, and
+#: down to Im E = -SEARCH_DEPTH.
+SEARCH_MARGIN = 3.0
+SEARCH_DEPTH = 0.2
 
 
 def _decomposition(model: ModelParams,
@@ -121,24 +121,10 @@ def char_determinant_scaled(model: ModelParams, bath: BathParams, energy: comple
     return float(log_abs[0]), complex(phase[0])
 
 
-def char_determinant(model: ModelParams, bath: BathParams, energy: complex,
-                     prescription: ResiduePrescription = ResiduePrescription.HALF,
-                     sigma_mode: SigmaMode = SigmaMode.AUTO) -> complex:
-    log_abs, phase = char_determinant_scaled(model, bath, energy, prescription,
-                                             sigma_mode)
-    return cmath.exp(log_abs) * phase
-
-
 def collective_weights(dec: EigenDecomposition) -> np.ndarray:
     """w_m = (sum_n v_mn)^2: how strongly eigenstate m couples to the
     collective (uniform) bath channel."""
     return np.asarray(dec.states.sum(axis=0)) ** 2
-
-
-def collective_resolvent(dec: EigenDecomposition, energy: complex) -> complex:
-    """g(E) = <1| (H_S - E)^{-1} |1> = sum_m w_m / (lambda_m - E)."""
-    w = collective_weights(dec)
-    return complex(np.sum(w / (dec.energies - energy)))
 
 
 @dataclass(frozen=True)
@@ -156,17 +142,16 @@ class PoleSearchRegion:
             raise ParameterError("pole search region must have positive extent")
 
 
-def default_search_region(model: ModelParams, margin: float = 3.0,
-                          im_depth: float = 0.2) -> PoleSearchRegion:
+def default_search_region(model: ModelParams) -> PoleSearchRegion:
     """Window around the top of the closed-system spectrum: the long-lived
     collective modes live within a few hopping amplitudes of the highest
-    eigenvalue, and their widths stay well inside im_depth.  The window is
+    eigenvalue, and their widths stay well inside SEARCH_DEPTH.  The window is
     clipped to Re E > 0 where the continued self-energy is single valued;
     widen it explicitly (with the real-axis mode) to chase anything below."""
     top = float(diagonalize(build_hamiltonian(model)).energies[-1])
-    return PoleSearchRegion(re_min=max(top - margin, 1e-6),
-                            re_max=top + margin,
-                            im_min=-abs(im_depth), im_max=0.0)
+    return PoleSearchRegion(re_min=max(top - SEARCH_MARGIN, 1e-6),
+                            re_max=top + SEARCH_MARGIN,
+                            im_min=-SEARCH_DEPTH, im_max=0.0)
 
 
 @dataclass
@@ -175,8 +160,8 @@ class DeterminantGrid:
 
     ``log_abs`` holds ln|det M| and ``phase`` the unit-modulus factor
     det / |det|; both have shape (len(im), len(re)).  The phase carries the
-    signs of Re(det) and Im(det), which is what the contour-crossing view
-    of the root search needs.
+    signs of Re(det) and Im(det), which the figure data record as the
+    zero-contour view of the landscape.
     """
 
     re: np.ndarray
@@ -191,33 +176,6 @@ class DeterminantGrid:
     def sign_im(self) -> np.ndarray:
         """Sign of Im det on the grid (+1, 0, -1)."""
         return np.sign(self.phase.imag).astype(int)
-
-    def crossing_cells(self) -> list[tuple[int, int]]:
-        """Cells whose four corners straddle zero in both Re det and Im det.
-
-        A cell is indexed by its lower-left corner (i, j) with i along im
-        and j along re.  "Straddle" counts touching zero, so a root sitting
-        exactly on a grid line is still caught; cells where the determinant
-        vanishes identically on all corners are skipped as degenerate.
-        """
-        rs = self.phase.real
-        ims = self.phase.imag
-        cells = []
-        for i in range(len(self.im) - 1):
-            for j in range(len(self.re) - 1):
-                r = rs[i:i + 2, j:j + 2]
-                m = ims[i:i + 2, j:j + 2]
-                if np.all(r == 0.0) and np.all(m == 0.0):
-                    continue
-                if r.min() <= 0.0 <= r.max() and m.min() <= 0.0 <= m.max():
-                    cells.append((i, j))
-        return cells
-
-    def crossing_points(self) -> list[complex]:
-        """Centers of the crossing cells as complex energies."""
-        return [complex(0.5 * (self.re[j] + self.re[j + 1]),
-                        0.5 * (self.im[i] + self.im[i + 1]))
-                for i, j in self.crossing_cells()]
 
 
 def scan_grid(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
@@ -310,8 +268,6 @@ def _det_value(model, bath, E, prescription, sigma_mode, scale, dec):
 
 
 def null_vector(model: ModelParams, bath: BathParams, energy: complex,
-                prescription: ResiduePrescription = ResiduePrescription.HALF,
-                sigma_mode: SigmaMode = SigmaMode.AUTO,
                 dec: EigenDecomposition | None = None) -> np.ndarray:
     """Normalized null direction of M(E) at a pole E,
 
@@ -343,7 +299,6 @@ def state_overlap(vector: np.ndarray, state: np.ndarray) -> float:
 def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
                 prescription: ResiduePrescription = ResiduePrescription.HALF,
                 sigma_mode: SigmaMode = SigmaMode.AUTO,
-                tol: float = 1e-12, max_iter: int = 100,
                 dec: EigenDecomposition | None = None) -> ResonancePole:
     """Drive det M(E) to zero by a damped 2D Newton iteration in
     (Re E, Im E).  The overlap is taken with the highest excited state.
@@ -362,7 +317,7 @@ def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
     it = 0
     converged = False
     resid = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         h = 1e-7 * (1.0 + math.hypot(x, y))
         pts = [complex(x, y), complex(x + h, y), complex(x - h, y),
                complex(x, y + h), complex(x, y - h)]
@@ -396,7 +351,7 @@ def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
                 break
             lam_bt *= 0.5
         x, y = x + lam_bt * step[0], y + lam_bt * step[1]
-        if lam_bt * math.hypot(*step) < tol * (1.0 + math.hypot(x, y)):
+        if lam_bt * math.hypot(*step) < POLE_TOL * (1.0 + math.hypot(x, y)):
             converged = True
             break
     if y > IM_CLAMP:
@@ -404,7 +359,7 @@ def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
     if 0.0 < y <= IM_CLAMP:
         y = 0.0
     energy = complex(x, y)
-    vec = null_vector(model, bath, energy, prescription, sigma_mode, dec=dec)
+    vec = null_vector(model, bath, energy, dec=dec)
     return ResonancePole(
         energy=energy,
         vector=vec,
@@ -417,19 +372,18 @@ def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
 
 def self_consistent_pole(model: ModelParams, bath: BathParams, seed: complex,
                          prescription: ResiduePrescription = ResiduePrescription.HALF,
-                         sigma_mode: SigmaMode = SigmaMode.AUTO,
-                         tol: float = 1e-12, max_iter: int = 200) -> complex:
+                         sigma_mode: SigmaMode = SigmaMode.AUTO) -> complex:
     """Independent pole route: iterate E <- eig(H_S + Sigma(E) U) picking the
     eigenvalue nearest the current E.  Converges linearly; used to
     cross-check the Newton refinement, not to replace it."""
     H = build_hamiltonian(model).matrix.astype(complex)
     U = np.ones((model.N, model.N), dtype=complex)
     E = complex(seed)
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         sigma = self_energy_eval(bath, E, prescription, sigma_mode)
         evals = np.linalg.eigvals(H + sigma * U)
         E_next = complex(evals[np.argmin(np.abs(evals - E))])
-        if abs(E_next - E) < tol * (1.0 + abs(E_next)):
+        if abs(E_next - E) < POLE_TOL * (1.0 + abs(E_next)):
             return E_next
         E = E_next
     raise NumericsError(f"self-consistent pole iteration stalled near E = {E}")

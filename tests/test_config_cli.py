@@ -102,6 +102,16 @@ class TestParse:
         assert values["poles.re_max"] == math.inf
         assert values["sweep.values"] == (1.0, 2.5, 6.0)
 
+    @pytest.mark.parametrize("line", [
+        "grid.t_max = inf", "grid.dt = inf", "bath.eta = inf", "bath.omega_c = inf",
+        "model.beta = nan", "model.lam = -inf", "oracle.threshold = inf",
+        "sweep.values = 1, nan",
+    ])
+    def test_non_finite_numbers_are_rejected(self, line):
+        key = line.partition(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"{re.escape(key)}: must be finite"):
+            parse_config_text(line + "\n")
+
     @pytest.mark.parametrize("key", [
         "solver.kernel_rule", "solver.markovian", "solver.memory_window",
         "solver.kernel_omega_max", "oracle.consistent_truncation", "oracle.method",
@@ -434,6 +444,26 @@ class TestCliSpectrumPolesSweepFig:
         assert not list(tmp_path.glob("sweep_*.csv"))   # rejected before any run
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "config-error"
+
+    @pytest.mark.parametrize("key, values, bad", [
+        ("model.N", "7,7.5", "7.5"),       # not an integer: N=7 ran as "7.5"
+        ("bath.eta", "0.1,-1", "-1.0"),    # breaks the key's own constraint
+    ])
+    def test_sweep_rejects_a_bad_value_before_any_run(self, tmp_path, capsys,
+                                                      key, values, bad):
+        rc = main(["sweep", "--out", str(tmp_path), "--set", "model.N=7",
+                   "--set", f"sweep.parameter={key}", "--set", f"sweep.values={values}",
+                   "--set", "grid.dt=0.02", "--set", "grid.t_max=2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"sweep.values: {bad}: {key}" in err
+        assert not list(tmp_path.glob("sweep_*.csv"))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "config-error"
+
+    def test_infinite_horizon_is_a_config_error(self, tmp_path, capsys):
+        assert main(["evolve", "--out", str(tmp_path), "--set", "grid.t_max=inf"]) == 2
+        assert "grid.t_max: must be finite" in capsys.readouterr().err
 
     def test_figdata_bundle(self, tmp_path, capsys):
         assert main(["figdata", "--out", str(tmp_path),

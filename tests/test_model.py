@@ -17,7 +17,6 @@ from gaah.model import (
     diagonalize,
     highest_excited_state,
     mobility_edge,
-    onsite_potential,
     onsite_profile,
     state_ipr,
 )
@@ -56,35 +55,33 @@ class TestOnsitePotential:
     def test_site_one_plain_potential(self):
         # Independent route: cos(2*pi*beta*1 + pi) = -cos(2*pi*beta).
         expected = -math.cos(2.0 * math.pi * GOLDEN_MEAN_CONJUGATE)
-        got = onsite_potential(ModelParams(Delta=1.0), 1)
+        got = onsite_profile(ModelParams(Delta=1.0))[0]
         assert got == pytest.approx(expected, abs=1e-14)
         assert got == pytest.approx(0.7373688780783198, abs=1e-12)
 
     def test_site_one_default_strength(self, model):
-        assert onsite_potential(model, 1) == pytest.approx(
+        assert onsite_profile(model)[0] == pytest.approx(
             1.8434221951958008, abs=1e-12)
 
     def test_site_one_deformed(self):
         c = -math.cos(2.0 * math.pi * GOLDEN_MEAN_CONJUGATE)
         expected = c / (1.0 - 0.5 * c)
-        got = onsite_potential(ModelParams(Delta=1.0, a=0.5), 1)
+        got = onsite_profile(ModelParams(Delta=1.0, a=0.5))[0]
         assert got == pytest.approx(expected, abs=1e-14)
 
     def test_zero_strength_is_flat(self):
         params = ModelParams(Delta=0.0)
         assert np.all(onsite_profile(params) == 0.0)
 
-    def test_profile_matches_scalar(self, model):
+    def test_profile_matches_scalar(self):
+        # The deformed potential site by site with scalar math, n = 1..N.
+        model = ModelParams(a=0.3)
         profile = onsite_profile(model)
         assert profile.shape == (model.N,)
         for n in range(1, model.N + 1):
+            c = math.cos(2.0 * math.pi * model.beta * n + model.phi)
             assert profile[n - 1] == pytest.approx(
-                onsite_potential(model, n), abs=1e-14)
-
-    @pytest.mark.parametrize("n", [0, 22, -1])
-    def test_out_of_range_site(self, model, n):
-        with pytest.raises(ParameterError, match="site index"):
-            onsite_potential(model, n)
+                model.Delta * c / (1.0 - model.a * c), abs=1e-14)
 
 
 class TestHamiltonian:

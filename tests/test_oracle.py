@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from gaah.bath import BathParams, spectral_density
-from gaah.dynamics import TimeGrid, evolve, observables
+from gaah.dynamics import TimeGrid, evolve
 from gaah.errors import ParameterError
 from gaah.model import (
     ModelParams,
@@ -16,10 +18,8 @@ from gaah.model import (
     highest_excited_state,
 )
 from gaah.oracle import (
-    _EIG_DIMENSION_CAP,
     _PHASE_BLOCK,
     _evolve_eig,
-    _evolve_rk4,
     compare_trajectories,
     discretize_bath,
     evolve_full,
@@ -106,16 +106,6 @@ class TestEvolveFull:
         assert traj.norm[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(traj.norm) <= 1.0 + 1e-9
 
-    def test_eig_and_rk4_agree(self, small_model, small_init, bath):
-        db = discretize_bath(bath, 300, 40.0)
-        grid = TimeGrid.from_t_max(0.002, 5.0)
-        eig = _evolve_eig(full_hamiltonian(small_model, db), small_model.N,
-                          small_init, grid)
-        rk4 = _evolve_rk4(small_model, db, small_init, grid)
-        sp_eig = observables(eig, small_init)["sp"]
-        sp_rk4 = observables(rk4, small_init)["sp"]
-        assert np.max(np.abs(sp_eig - sp_rk4)) < 1e-7
-
     @pytest.mark.parametrize("steps", [_PHASE_BLOCK - 1, _PHASE_BLOCK,
                                        _PHASE_BLOCK + 1, 3 * _PHASE_BLOCK + 5])
     def test_blocked_phases_match_per_time_loop(self, small_model, small_init,
@@ -127,25 +117,10 @@ class TestEvolveFull:
         assert np.max(np.abs(blocked - _per_time_eig(H, small_model.N, small_init,
                                                     grid))) <= 1e-13
 
-    def test_route_chosen_by_dimension(self, small_model, small_init, bath):
-        grid = TimeGrid.from_t_max(0.01, 1.0)
-        small = evolve_full(small_model, discretize_bath(bath, 50, 40.0),
-                            small_init, grid)
-        assert small.params["oracle.method"] == "eig"
-        modes = _EIG_DIMENSION_CAP - small_model.N + 1
-        large = evolve_full(small_model, discretize_bath(bath, modes, 20.0),
-                            small_init, TimeGrid.from_t_max(0.001, 0.01))
-        assert large.params["oracle.method"] == "rk4"
-
     def test_refuses_past_recurrence(self, small_model, small_init, bath):
         db = discretize_bath(bath, 100, 80.0)  # recurrence ~ 7.85
         with pytest.raises(ParameterError, match="oracle.modes"):
             evolve_full(small_model, db, small_init, TimeGrid.from_t_max(0.01, 20.0))
-
-    def test_rk4_step_guard(self, small_model, small_init, bath):
-        db = discretize_bath(bath, 500, 80.0)
-        with pytest.raises(ParameterError, match="omega_max"):
-            _evolve_rk4(small_model, db, small_init, TimeGrid.from_t_max(0.05, 5.0))
 
     def test_bad_shape(self, small_model, small_init, bath):
         db = discretize_bath(bath, 50, 40.0)
@@ -173,11 +148,12 @@ class TestCompare:
         with pytest.raises(ParameterError, match="grids"):
             compare_trajectories(a, b)
 
-    def test_missing_observable(self, small_model, small_init, bath):
-        grid = TimeGrid.from_t_max(0.01, 1.0)
+    def test_measures_survival_probability(self, small_model, small_init, bath):
+        grid = TimeGrid.from_t_max(0.01, 2.0)
         a = evolve(small_model, bath, small_init, grid)
-        with pytest.raises(ParameterError, match="unknown observable"):
-            compare_trajectories(a, a, "alpha")
+        b = dataclasses.replace(a, sp=a.sp + np.linspace(0.0, 0.25, a.sp.size),
+                                ipr=a.ipr + 1.0)
+        assert compare_trajectories(a, b) == pytest.approx(0.25, abs=1e-15)
 
 
 class TestValidation:

@@ -16,17 +16,13 @@ from gaah.model import (
     ModelParams,
     build_hamiltonian,
     diagonalize,
-    highest_excited_state,
 )
 from gaah.reference import REFERENCE_POLES
 from gaah.spectrum import (
     CLUSTER_TOL,
     PoleSearchRegion,
     ResonancePole,
-    char_determinant,
     char_determinant_scaled,
-    characteristic_matrix,
-    collective_resolvent,
     collective_weights,
     default_search_region,
     find_poles,
@@ -48,11 +44,53 @@ POLE_2 = 2.882305 - 5.312399e-5j
 DECOUPLED = BathParams(eta=0.0)
 
 
+def _characteristic_matrix(model, bath, E, prescription=HALF,
+                           sigma_mode=SigmaMode.AUTO):
+    """Oracle: the dense M(E) = H_S + Sigma(E) U - E I, U all ones."""
+    sigma = self_energy_eval(bath, E, prescription, sigma_mode)
+    M = build_hamiltonian(model).matrix + sigma * np.ones((model.N, model.N),
+                                                          dtype=complex)
+    M[np.diag_indices(model.N)] -= E
+    return M
+
+
+def _char_determinant(model, bath, E, prescription=HALF, sigma_mode=SigmaMode.AUTO):
+    """det M(E) itself, unscaled from the shipped secular form."""
+    log_abs, phase = char_determinant_scaled(model, bath, E, prescription, sigma_mode)
+    return cmath.exp(log_abs) * phase
+
+
+def _secular_resolvent(model, bath, dec, E):
+    """g(E) = <1| (H_S - E)^{-1} |1> read back from the shipped secular
+    determinant, det M = prod_m (lambda_m - E) * (1 + Sigma g)."""
+    F = _char_determinant(model, bath, E, HALF, SigmaMode.CONTINUED) / complex(
+        np.prod(dec.energies - E))
+    return (F - 1.0) / self_energy_eval(bath, E, HALF, SigmaMode.CONTINUED)
+
+
+def _crossing_points(grid):
+    """Oracle: centers of the grid cells whose four corners straddle zero
+    (touching counts) in both Re det and Im det, skipping cells where the
+    determinant vanishes on every corner."""
+    rs, ims = grid.phase.real, grid.phase.imag
+    points = []
+    for i in range(len(grid.im) - 1):
+        for j in range(len(grid.re) - 1):
+            r = rs[i:i + 2, j:j + 2]
+            m = ims[i:i + 2, j:j + 2]
+            if np.all(r == 0.0) and np.all(m == 0.0):
+                continue
+            if r.min() <= 0.0 <= r.max() and m.min() <= 0.0 <= m.max():
+                points.append(complex(0.5 * (grid.re[j] + grid.re[j + 1]),
+                                      0.5 * (grid.im[i] + grid.im[i + 1])))
+    return points
+
+
 def _lu_determinant_scaled(model, bath, E, prescription=HALF,
                            sigma_mode=SigmaMode.AUTO):
     """Oracle: det M(E) from a dense LU factorization of M, in the scaled
     (log|det|, phase) form of char_determinant_scaled."""
-    M = characteristic_matrix(model, bath, E, prescription, sigma_mode)
+    M = _characteristic_matrix(model, bath, E, prescription, sigma_mode)
     lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
     diag = np.diag(lu)
     mags = np.abs(diag)
@@ -109,7 +147,7 @@ def _inverse_iteration_null_vector(model, bath, E, prescription=HALF,
     dec = diagonalize(build_hamiltonian(model))
     v = dec.states[:, int(np.argmin(np.abs(dec.energies - E.real)))].astype(complex)
     lu_piv = scipy.linalg.lu_factor(
-        characteristic_matrix(model, bath, E, prescription, sigma_mode),
+        _characteristic_matrix(model, bath, E, prescription, sigma_mode),
         check_finite=False)
     for _ in range(sweeps):
         v = scipy.linalg.lu_solve(lu_piv, v, check_finite=False)
@@ -132,14 +170,14 @@ def _cluster_means(xs, tol=0.02):
 class TestCharacteristicMatrix:
     def test_decoupled_structure(self, model):
         E = 1.3 - 0.2j
-        M = characteristic_matrix(model, DECOUPLED, E)
+        M = _characteristic_matrix(model, DECOUPLED, E)
         H = build_hamiltonian(model).matrix
         assert np.allclose(M, H - E * np.eye(model.N), atol=0)
 
     def test_rank_one_dressing(self, model, bath):
         E = 2.9 - 0.01j
         sigma = self_energy_eval(bath, E, HALF, SigmaMode.CONTINUED)
-        M = characteristic_matrix(model, bath, E, HALF, SigmaMode.CONTINUED)
+        M = _characteristic_matrix(model, bath, E, HALF, SigmaMode.CONTINUED)
         H = build_hamiltonian(model).matrix
         # Every entry is shifted by the same sigma; the diagonal further
         # subtracts E.
@@ -149,7 +187,7 @@ class TestCharacteristicMatrix:
 class TestDeterminant:
     def test_decoupled_equals_eigen_product(self, model, eig):
         for E in (0.3 - 0.1j, 2.0 + 0.05j, -1.7 - 0.4j):
-            direct = char_determinant(model, DECOUPLED, E)
+            direct = _char_determinant(model, DECOUPLED, E)
             expected = complex(np.prod(eig.energies - E))
             assert direct == pytest.approx(expected, rel=1e-9)
 
@@ -189,8 +227,8 @@ class TestDeterminant:
     def test_conjugate_symmetry_decoupled(self, model):
         # Real symmetric matrix: det(conj E) = conj(det E) exactly.
         E = 2.9 - 0.05j
-        d = char_determinant(model, DECOUPLED, E)
-        d_conj = char_determinant(model, DECOUPLED, E.conjugate())
+        d = _char_determinant(model, DECOUPLED, E)
+        d_conj = _char_determinant(model, DECOUPLED, E.conjugate())
         assert d_conj == pytest.approx(d.conjugate(), rel=1e-12)
 
     def test_conjugate_symmetry_broken_by_retarded_bath(self, model, bath):
@@ -198,17 +236,17 @@ class TestDeterminant:
         # whose -i*c*J(Re E) branch is fixed regardless of the sign of Im E,
         # so Schwarz reflection does not hold once eta > 0.
         E = 2.9 - 0.05j
-        d = char_determinant(model, bath, E, sigma_mode=SigmaMode.REAL_AXIS)
-        d_conj = char_determinant(model, bath, E.conjugate(),
-                                  sigma_mode=SigmaMode.REAL_AXIS)
+        d = _char_determinant(model, bath, E, sigma_mode=SigmaMode.REAL_AXIS)
+        d_conj = _char_determinant(model, bath, E.conjugate(),
+                                   sigma_mode=SigmaMode.REAL_AXIS)
         assert abs(d_conj - d.conjugate()) / abs(d) > 0.1
 
     def test_scaled_form_consistent(self, model, bath):
         E = 2.95 - 1e-5j
         log_abs, phase = char_determinant_scaled(model, bath, E)
         assert abs(phase) == pytest.approx(1.0, abs=1e-12)
-        assert char_determinant(model, bath, E) == pytest.approx(
-            cmath.exp(log_abs) * phase, rel=1e-12)
+        dense = complex(np.linalg.det(_characteristic_matrix(model, bath, E)))
+        assert cmath.exp(log_abs) * phase == pytest.approx(dense, rel=1e-9)
 
 
 class TestCollectiveChannel:
@@ -217,20 +255,21 @@ class TestCollectiveChannel:
         assert np.all(w >= 0.0)
         assert float(np.sum(w)) == pytest.approx(model.N, rel=1e-12)
 
-    def test_resolvent_against_linear_solve(self, model, eig):
-        # Dual route: spectral sum vs direct solve of (H - E) x = 1.
+    def test_resolvent_against_linear_solve(self, model, bath, eig):
+        # Dual route: g(E) inside the secular determinant vs a direct solve
+        # of (H - E) x = 1.
         E = 3.5 - 0.1j
         H = build_hamiltonian(model).matrix.astype(complex)
         x = np.linalg.solve(H - E * np.eye(model.N), np.ones(model.N))
-        assert collective_resolvent(eig, E) == pytest.approx(
+        assert _secular_resolvent(model, bath, eig, E) == pytest.approx(
             complex(x.sum()), rel=1e-10)
 
-    def test_resolvent_residue(self, model, eig):
+    def test_resolvent_residue(self, model, bath, eig):
         # (lambda_m - E) g(E) -> w_m as E -> lambda_m.
         w = collective_weights(eig)
         lam = float(eig.energies[-1])
-        E = lam + 1e-9
-        value = (lam - E) * collective_resolvent(eig, E)
+        E = complex(lam + 1e-9)
+        value = (lam - E) * _secular_resolvent(model, bath, eig, E)
         assert value.real == pytest.approx(w[-1], rel=1e-5)
 
 
@@ -282,7 +321,7 @@ class TestScanGrid:
 
     def test_crossings_cluster_at_the_two_poles(self, model, bath, fine_window):
         grid = scan_grid(model, bath, fine_window, n_re=120, n_im=48)
-        points = grid.crossing_points()
+        points = _crossing_points(grid)
         assert points
         means = _cluster_means([p.real for p in points])
         assert len(means) == 2
@@ -292,7 +331,7 @@ class TestScanGrid:
     def test_crossing_clusters_stable_under_refinement(self, model, bath,
                                                        fine_window):
         grid = scan_grid(model, bath, fine_window, n_re=240, n_im=96)
-        means = _cluster_means([p.real for p in grid.crossing_points()])
+        means = _cluster_means([p.real for p in _crossing_points(grid)])
         assert len(means) == 2
         assert means[0] == pytest.approx(POLE_2.real, abs=0.005)
         assert means[1] == pytest.approx(POLE_1.real, abs=0.005)
@@ -318,7 +357,7 @@ class TestScanGrid:
         top = float(eig.energies[-1])
         region = PoleSearchRegion(top - 0.012, top + 0.012, -1e-4, 0.0)
         grid = scan_grid(model, DECOUPLED, region, n_re=80, n_im=16)
-        points = grid.crossing_points()
+        points = _crossing_points(grid)
         assert points
         assert all(abs(p.real - top) < 0.005 for p in points)
 
@@ -339,7 +378,7 @@ class TestRefinePole:
 
     def test_null_vector_annihilated(self, model, bath):
         pole = refine_pole(model, bath, 2.95 - 1e-5j)
-        M = characteristic_matrix(model, bath, pole.energy)
+        M = _characteristic_matrix(model, bath, pole.energy)
         assert np.linalg.norm(pole.vector) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(M @ pole.vector) <= 1e-8
 

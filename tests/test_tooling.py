@@ -7,7 +7,8 @@ every name it patches must keep resolving.  Likewise every CLI command its
 workloads (``perfbench/workloads.py``) run must keep parsing, so that a
 removed option fails here rather than as benchmark failures.  The far
 history of ``evolve`` must stay block-sized, so that a long trajectory, the
-benchmark's largest op, keeps its cost.
+benchmark's largest op, keeps its cost.  The names the ``gaah`` package
+exports are pinned, so that adding or removing one is a visible diff here.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import importlib
 import importlib.util
 import os
 import sys
+import types
 
 import numpy as np
 import scipy.fft
 
+import gaah
 from gaah import cli, dynamics, oracle
 from gaah.bath import BathParams
 from gaah.model import ModelParams, build_hamiltonian, diagonalize, highest_excited_state
@@ -133,3 +136,31 @@ def test_history_transforms_stay_block_sized(monkeypatch):
                     dynamics.TimeGrid(dt=0.01, steps=10 * block + 1))
     assert len(lengths) >= 10
     assert max(lengths) <= 2 * block
+
+
+PUBLIC_NAMES = [
+    "BathParams", "ConfigError", "DeterminantGrid", "DiscreteBath",
+    "EigenDecomposition", "GOLDEN_MEAN_CONJUGATE", "GaahError", "Hamiltonian",
+    "ModelParams", "NumericsError", "OracleMismatchError", "ParameterError",
+    "PoleSearchRegion", "PrescriptionViolationError", "ResiduePrescription",
+    "ResonancePole", "RunConfig", "SigmaMode", "TimeGrid", "Trajectory",
+    "UnstableEvolutionError", "ValidationReport", "beat_envelope",
+    "build_hamiltonian", "char_determinant_scaled", "collective_weights",
+    "compare_trajectories", "convergence_check", "default_search_region",
+    "diagonalize", "discretize_bath", "dominant_period", "evolve", "evolve_full",
+    "find_poles", "highest_excited_state", "ipr", "memory_kernel",
+    "mobility_edge", "observables", "parse_config", "position_variance",
+    "refine_pole", "scan_grid", "self_consistent_pole", "self_energy",
+    "self_energy_closed_form", "self_energy_eval", "serialize_values",
+    "spectral_density", "state_ipr", "state_overlap", "survival_probability",
+    "transition_frequency", "validate_against_oracle",
+]
+
+
+def test_public_names_are_pinned():
+    # Submodules become package attributes once anything imports them, so
+    # they are left out: the pin covers what __init__ itself exports.
+    exported = sorted(name for name, value in vars(gaah).items()
+                      if not name.startswith("_")
+                      and not isinstance(value, types.ModuleType))
+    assert exported == PUBLIC_NAMES
