@@ -115,7 +115,11 @@ class TimeGrid:
     def from_t_max(dt: float, t_max: float) -> "TimeGrid":
         if dt <= 0.0 or t_max <= 0.0:
             raise ParameterError("grid.dt and grid.t_max must be > 0")
-        return TimeGrid(dt=dt, steps=max(1, int(round(t_max / dt))))
+        steps = t_max / dt
+        if not steps < np.iinfo(np.intp).max:
+            raise ParameterError(f"grid.t_max / grid.dt = {steps:g} steps is more "
+                                 "than an array can index")
+        return TimeGrid(dt=dt, steps=max(1, int(round(steps))))
 
 
 @dataclass

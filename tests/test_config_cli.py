@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gaah.bath import ResiduePrescription, SigmaMode
-from gaah import cli
+from gaah import cli, oracle
 from gaah.cli import main
 from gaah.config import (
     REGISTRY,
@@ -391,6 +391,20 @@ class TestCliOracle:
         assert manifest["status"] == "validation-failure"
 
 
+    def test_secular_failure_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # One model step per root leaves the secular solve unconverged.
+        monkeypatch.setattr(oracle, "_SECULAR_MAX_ITER", 1)
+        rc = main(["oracle", "--out", str(tmp_path),
+                   "--set", "model.N=7", "--set", "oracle.t_max=5",
+                   "--set", "oracle.modes=200"])
+        assert rc == 3
+        assert "secular equation" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "numeric-failure"
+        assert manifest["tasks"][0]["status"] == "numeric-failure"
+        assert "did not converge" in manifest["tasks"][0]["detail"]
+
+
 class TestCliSpectrumPolesSweepFig:
     def test_spectrum(self, tmp_path, capsys):
         assert main(["spectrum", "--out", str(tmp_path)]) == 0
@@ -464,6 +478,12 @@ class TestCliSpectrumPolesSweepFig:
     def test_infinite_horizon_is_a_config_error(self, tmp_path, capsys):
         assert main(["evolve", "--out", str(tmp_path), "--set", "grid.t_max=inf"]) == 2
         assert "grid.t_max: must be finite" in capsys.readouterr().err
+
+    def test_unrepresentable_step_count_is_a_config_error(self, tmp_path, capsys):
+        # Both values are finite, but t_max / dt overflows.
+        assert main(["evolve", "--out", str(tmp_path), "--set", "grid.t_max=1e300",
+                     "--set", "grid.dt=1e-10"]) == 2
+        assert "grid.t_max / grid.dt = inf steps" in capsys.readouterr().err
 
     def test_figdata_bundle(self, tmp_path, capsys):
         assert main(["figdata", "--out", str(tmp_path),

@@ -57,6 +57,12 @@ class TestTimeGrid:
         with pytest.raises(ParameterError):
             TimeGrid.from_t_max(0.1, -1.0)
 
+    @pytest.mark.parametrize("dt, t_max", [(1e-10, 1e300), (1e-300, 1e10)])
+    def test_unrepresentable_step_count(self, dt, t_max):
+        # t_max / dt overflows to inf, or exceeds any array index.
+        with pytest.raises(ParameterError, match="grid.t_max / grid.dt"):
+            TimeGrid.from_t_max(dt, t_max)
+
 
 class TestObservables:
     def test_survival_probability_trivials(self):

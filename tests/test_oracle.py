@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gaah import oracle
 from gaah.bath import BathParams, spectral_density
 from gaah.dynamics import TimeGrid, evolve
-from gaah.errors import ParameterError
+from gaah.errors import NumericsError, ParameterError
 from gaah.model import (
     ModelParams,
     build_hamiltonian,
@@ -19,11 +20,12 @@ from gaah.model import (
 )
 from gaah.oracle import (
     _PHASE_BLOCK,
-    _evolve_eig,
+    _arrowhead_form,
+    _propagate,
+    arrowhead_eig,
     compare_trajectories,
     discretize_bath,
     evolve_full,
-    full_hamiltonian,
     validate_against_oracle,
 )
 
@@ -74,6 +76,30 @@ class TestDiscretization:
         assert errs[2] < 1e-6
 
 
+def full_hamiltonian(model, dbath):
+    """The dense (N + M)-square H_full, the oracle's dense reference."""
+    N, M = model.N, dbath.modes
+    H = np.zeros((N + M, N + M))
+    H[:N, :N] = build_hamiltonian(model).matrix
+    H[:N, N:] = dbath.couplings[np.newaxis, :]
+    H[N:, :N] = dbath.couplings[:, np.newaxis]
+    H[N + np.arange(M), N + np.arange(M)] = dbath.omegas
+    return H
+
+
+def _arrowhead_matrix(head, diag, arrow):
+    A = np.diag(np.concatenate([[head], diag]))
+    A[0, 1:] = A[1:, 0] = arrow
+    return A
+
+
+def _dense_propagation(A, R, init, grid):
+    """α(t) from np.linalg.eigh of the dense matrix A, whose basis R maps
+    to the rows wanted."""
+    evals, W = np.linalg.eigh(A)
+    return evals, _propagate(evals, R @ W, init, grid)
+
+
 class TestFullHamiltonian:
     def test_block_structure(self, small_model, bath):
         db = discretize_bath(bath, 20, 40.0)
@@ -86,6 +112,120 @@ class TestFullHamiltonian:
         for k in range(20):
             assert np.all(H[:N, N + k] == db.couplings[k])
         assert np.array_equal(np.diag(H)[N:], db.omegas)
+
+    @pytest.mark.parametrize("N", [2, 7, 8])
+    def test_arrowhead_form_is_h_full_in_a_rotated_basis(self, bath, N):
+        model = ModelParams(N=N, beta=0.5, phi=0.0) if N == 8 else ModelParams(N=N)
+        db = discretize_bath(bath, 20, 40.0)
+        head, diag, arrow, c, rows = _arrowhead_form(model, db)
+        assert diag.shape == arrow.shape == (N - 1 + 20,)
+        assert np.array_equal(rows[:, N - 1:], np.zeros((N, 20)))
+        # The basis: c and the complement's levels on the sites, then the modes.
+        Q = np.zeros((N + 20, N + 20))
+        Q[:N, 0] = c
+        Q[:N, 1:N] = rows[:, :N - 1]
+        Q[N:, N:] = np.eye(20)
+        assert np.max(np.abs(Q.T @ Q - np.eye(N + 20))) <= 1e-14
+        A = Q.T @ full_hamiltonian(model, db) @ Q
+        assert np.max(np.abs(A - _arrowhead_matrix(head, diag, arrow))) <= 1e-13
+
+
+class TestArrowheadEig:
+    """The structured diagonalization against np.linalg.eigh of the dense
+    H_full: eigenvalues to 1e-12, α(t) to 1e-11 for t <= 50."""
+
+    CASES = {
+        # (N, a, Delta, eta, modes, extra model parameters)
+        "sizing_a0": (7, 0.0, 2.5, 0.1, 2000, {}),
+        "sizing_a0.5": (7, 0.5, 1.0, 0.5, 2000, {}),
+        "sizing_N21": (21, 0.0, 2.5, 0.1, 2000, {}),
+        "decoupled": (7, 0.0, 2.5, 0.0, 400, {}),
+        # Mirror-symmetric chain: levels odd under the mirror are orthogonal
+        # to the uniform state and couple to nothing.
+        "orthogonal_level": (8, 0.0, 2.5, 0.1, 400, {"beta": 0.5, "phi": 0.0}),
+        "N2": (2, 0.0, 2.5, 0.1, 400, {}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_dense_eigh(self, case):
+        N, a, Delta, eta, modes, extra = self.CASES[case]
+        model = ModelParams(N=N, a=a, Delta=Delta, **extra)
+        db = discretize_bath(BathParams(eta=eta), modes, 80.0)
+        init = highest_excited_state(diagonalize(build_hamiltonian(model)))
+        grid = TimeGrid.from_t_max(0.01, 50.0)
+        evals, V_sys = arrowhead_eig(*_arrowhead_form(model, db))
+        alphas = _propagate(evals, V_sys, init, grid)
+        dense_evals, dense_alphas = _dense_propagation(
+            full_hamiltonian(model, db), np.eye(N, N + modes), init, grid)
+        assert np.max(np.abs(evals - dense_evals)) <= 1e-12
+        assert np.max(np.abs(alphas - dense_alphas)) <= 1e-11
+        assert np.max(np.sum(np.abs(alphas) ** 2, axis=1)) <= 1.0 + 1e-12
+
+    def test_orthogonal_level_is_decoupled(self):
+        model = ModelParams(N=8, beta=0.5, phi=0.0)
+        _, _, arrow, _, _ = _arrowhead_form(model, discretize_bath(BathParams(), 50, 80.0))
+        assert np.min(np.abs(arrow[:7])) <= 1e-14
+
+    @pytest.mark.parametrize("placement", ["mode_on_level", "equal_modes"])
+    def test_coincident_poles(self, small_model, small_init, bath, placement):
+        # Poles that coincide exactly must be rotated apart before the
+        # secular solve: a mode frequency on a level of the complement, or
+        # two equal mode frequencies, each pair with both couplings nonzero.
+        N = small_model.N
+        head, diag, arrow, c, rows = _arrowhead_form(small_model,
+                                                     discretize_bath(bath, 60, 20.0))
+        diag = diag.copy()
+        if placement == "mode_on_level":
+            diag[N + 4] = diag[2]
+            assert arrow[2] != 0.0 and arrow[N + 4] != 0.0
+        else:
+            diag[N + 11] = diag[N + 10]
+        grid = TimeGrid.from_t_max(0.01, 20.0)
+        evals, V_sys = arrowhead_eig(head, diag, arrow, c, rows)
+        alphas = _propagate(evals, V_sys, small_init, grid)
+        dense_evals, dense_alphas = _dense_propagation(
+            _arrowhead_matrix(head, diag, arrow), np.column_stack([c, rows]),
+            small_init, grid)
+        assert np.max(np.abs(evals - dense_evals)) <= 1e-12
+        assert np.max(np.abs(alphas - dense_alphas)) <= 1e-11
+        assert np.max(np.sum(np.abs(alphas) ** 2, axis=1)) <= 1.0 + 1e-12
+
+    def test_random_arrowheads(self):
+        # Equal and nearly equal poles, zero and tiny couplings, and weak
+        # couplings that leave a root far from both of its poles.  With the
+        # identity as rows, V holds the whole eigenvectors.
+        rng = np.random.default_rng(20261018)
+        for _ in range(500):
+            n = int(rng.integers(1, 40))
+            diag = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+            if n > 2 and rng.random() < 0.5:
+                diag[rng.integers(n)] = diag[rng.integers(n)]
+            if n > 3 and rng.random() < 0.3:
+                i = rng.integers(n - 1)
+                diag[i + 1] = diag[i] + 1e-15 * rng.normal()
+            arrow = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
+            kind = rng.random(n)
+            arrow[kind < 0.15] = 0.0
+            arrow[(kind > 0.15) & (kind < 0.3)] *= 10.0 ** rng.uniform(-16, -8)
+            head = 5.0 * rng.normal()
+            A = _arrowhead_matrix(head, diag, arrow)
+            identity = np.eye(n + 1)
+            evals, V = arrowhead_eig(head, diag, arrow, identity[:, 0], identity[:, 1:])
+            scale = np.linalg.norm(A, 2)
+            assert np.max(np.abs(evals - np.linalg.eigvalsh(A))) <= 1e-13 * scale
+            assert np.max(np.abs(A @ V - V * evals)) <= 1e-13 * scale
+            assert np.max(np.abs(V.T @ V - identity)) <= 1e-12
+
+    def test_no_coupled_pole(self):
+        evals, V = arrowhead_eig(0.5, np.array([1.0, 2.0]), np.zeros(2),
+                                 np.array([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]]))
+        assert np.array_equal(evals, [0.5, 1.0, 2.0])
+        assert np.array_equal(V, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    def test_unconverged_roots_raise(self, small_model, bath, monkeypatch):
+        monkeypatch.setattr(oracle, "_SECULAR_MAX_ITER", 1)
+        with pytest.raises(NumericsError, match="secular equation"):
+            arrowhead_eig(*_arrowhead_form(small_model, discretize_bath(bath, 50, 80.0)))
 
 
 class TestEvolveFull:
@@ -111,11 +251,12 @@ class TestEvolveFull:
     def test_blocked_phases_match_per_time_loop(self, small_model, small_init,
                                                 bath, steps):
         H = full_hamiltonian(small_model, discretize_bath(bath, 300, 40.0))
+        N = small_model.N
         grid = TimeGrid(dt=0.01, steps=steps)
-        blocked = _evolve_eig(H, small_model.N, small_init, grid)
-        assert blocked.shape == (steps + 1, small_model.N)
-        assert np.max(np.abs(blocked - _per_time_eig(H, small_model.N, small_init,
-                                                    grid))) <= 1e-13
+        evals, V = np.linalg.eigh(H)
+        blocked = _propagate(evals, V[:N, :], small_init, grid)
+        assert blocked.shape == (steps + 1, N)
+        assert np.max(np.abs(blocked - _per_time_eig(H, N, small_init, grid))) <= 1e-13
 
     def test_refuses_past_recurrence(self, small_model, small_init, bath):
         db = discretize_bath(bath, 100, 80.0)  # recurrence ~ 7.85

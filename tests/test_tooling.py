@@ -7,8 +7,10 @@ every name it patches must keep resolving.  Likewise every CLI command its
 workloads (``perfbench/workloads.py``) run must keep parsing, so that a
 removed option fails here rather than as benchmark failures.  The far
 history of ``evolve`` must stay block-sized, so that a long trajectory, the
-benchmark's largest op, keeps its cost.  The names the ``gaah`` package
-exports are pinned, so that adding or removing one is a visible diff here.
+benchmark's largest op, keeps its cost; the oracle must never form the
+(N + M)-square full Hamiltonian, so that the oracle op keeps its cost.  The
+names the ``gaah`` package exports are pinned, so that adding or removing
+one is a visible diff here.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ import importlib
 import importlib.util
 import os
 import sys
+import tracemalloc
 import types
 
 import numpy as np
 import scipy.fft
+import scipy.linalg
 
 import gaah
 from gaah import cli, dynamics, oracle
@@ -136,6 +140,34 @@ def test_history_transforms_stay_block_sized(monkeypatch):
                     dynamics.TimeGrid(dt=0.01, steps=10 * block + 1))
     assert len(lengths) >= 10
     assert max(lengths) <= 2 * block
+
+
+def test_oracle_never_forms_the_full_matrix(monkeypatch):
+    # The dense route diagonalized the (N + M)-square H_full, 2 * 2007^2 * 8 B
+    # = 64 MB for the matrix and its eigenvectors at N = 7, M = 2000.
+    sizes = []
+
+    def recorded(module):
+        eigh = module.eigh
+
+        def wrapper(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+        monkeypatch.setattr(module, "eigh", wrapper)
+
+    recorded(np.linalg)
+    recorded(scipy.linalg)
+    model = ModelParams(N=7)
+    init = highest_excited_state(diagonalize(build_hamiltonian(model)))
+    dbath = oracle.discretize_bath(BathParams(), 2000, 80.0)
+    tracemalloc.start()
+    try:
+        oracle.evolve_full(model, dbath, init, dynamics.TimeGrid(dt=0.01, steps=100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes and max(sizes) <= model.N
+    assert peak < 24e6
 
 
 PUBLIC_NAMES = [
