@@ -2,16 +2,26 @@
 
 Every data file is self-describing: a block of ``# key = value`` comment
 lines carries the complete parameter set that produced it, followed by one
-CSV header row and the data.  Floats are written with ``repr``, which in
+CSV header row and the data.  Floats are written as their ``repr``, which in
 Python 3 is the shortest decimal string that round-trips the exact binary
 value, so re-ingesting a file loses nothing.
+
+The bulk of the data, trajectories and determinant grids, is formatted a
+block of rows at a time by ``_floatfmt.format_rows``.  It computes the same
+text as ``repr`` in numpy integer arithmetic: the Schubfach algorithm gives
+the shortest round-trip digits exactly, and ``repr``'s layout rules place
+them (fixed notation for 1e-4 <= |x| < 1e16, ``1e-05`` style otherwise).
+Its module docstring gives the argument; the tests hold it to ``repr`` byte
+for byte on every power of two, every power of ten and random bit patterns.
+``fmt`` writes headers, scalars and the small tables.
 
 The manifest is a JSON inventory of one run: tool version, command,
 configuration snapshot, wall-clock, per-task status, and a sha256 per
 output file.  It is written atomically (temp file + rename) so a crashed
 run never leaves a half-written manifest behind.  Output bodies are pure
-functions of the input data, so re-running an identical configuration
-reproduces identical file hashes.
+functions of the input data, and files are written as UTF-8 bytes with
+``\n`` line ends whatever the platform or locale, so re-running an
+identical configuration reproduces identical file hashes.
 """
 
 from __future__ import annotations
@@ -22,10 +32,11 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from ._floatfmt import format_rows
 from .dynamics import Trajectory
 from .model import EigenDecomposition
 from .spectrum import DeterminantGrid, ResonancePole
@@ -34,9 +45,15 @@ TOOL_VERSION = "0.1.0"
 
 TRAJECTORY_COLUMNS = ("t", "SP", "IPR", "norm", "variance", "Re S", "Im S")
 
-#: Trajectory rows formatted per chunk: the text of a long run is never held
-#: in memory at once.
+#: Data rows formatted per chunk: the text of a long run is never held in
+#: memory at once, and a chunk's work arrays stay cache-sized.
 _CSV_CHUNK_ROWS = 4096
+
+_NEWLINE = np.frombuffer(b"\n", dtype=np.uint8)
+#: ",{sign Re},{sign Im}\n" of a grid row, NUL-padded, indexed by sign + 1.
+_SIGN_TAILS = np.array(
+    [[list(f",{a},{b}\n".encode().ljust(7, b"\0")) for b in (-1, 0, 1)]
+     for a in (-1, 0, 1)], dtype=np.uint8)
 
 
 def fmt(value) -> str:
@@ -48,12 +65,12 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -66,6 +83,24 @@ def _header_lines(params: dict) -> list[str]:
     return [f"# {key} = {fmt(value)}" for key, value in params.items()]
 
 
+def _text(lines: list[str]) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _csv_chunks(lines: list[str], columns: tuple[np.ndarray, ...],
+                tails: np.ndarray) -> Iterator[bytes]:
+    """The header ``lines``, then the rows of the float ``columns`` as repr
+    text, each ended by its row of the uint8 ``tails`` (NULs dropped)."""
+    yield _text(lines)
+    n = len(columns[0])
+    block = np.empty((min(n, _CSV_CHUNK_ROWS), len(columns)))
+    for lo in range(0, n, _CSV_CHUNK_ROWS):
+        rows = block[:min(_CSV_CHUNK_ROWS, n - lo)]
+        for j, column in enumerate(columns):
+            rows[:, j] = column[lo:lo + len(rows)]
+        yield format_rows(rows, tails[lo:lo + len(rows)])
+
+
 def write_trajectory_csv(traj: Trajectory, path: str,
                          extra_params: dict | None = None) -> None:
     """Columns t, SP, IPR, norm, variance, Re S, Im S; parameters as comments."""
@@ -76,16 +111,8 @@ def write_trajectory_csv(traj: Trajectory, path: str,
     lines.append(",".join(TRAJECTORY_COLUMNS))
     columns = (traj.grid.times(), traj.sp, traj.ipr, traj.norm, traj.variance,
                traj.collective.real, traj.collective.imag)
-    # "%r" of a Python float is its repr, the same text ``fmt`` writes.
-    row = ",".join(["%r"] * len(columns)) + "\n"
-
-    def chunks():
-        yield "\n".join(lines) + "\n"
-        for lo in range(0, traj.grid.steps + 1, _CSV_CHUNK_ROWS):
-            values = zip(*(c[lo:lo + _CSV_CHUNK_ROWS].tolist() for c in columns))
-            yield "".join([row % v for v in values])
-
-    _atomic_write(path, chunks())
+    tails = np.broadcast_to(_NEWLINE, (len(columns[0]), 1))
+    _atomic_write(path, _csv_chunks(lines, columns, tails))
 
 
 def write_spectrum_csv(dec: EigenDecomposition, weights: np.ndarray,
@@ -97,7 +124,7 @@ def write_spectrum_csv(dec: EigenDecomposition, weights: np.ndarray,
     for i, energy in enumerate(dec.energies, start=1):
         lines.append(",".join((str(i), fmt(energy), fmt(iprs[i - 1]),
                                fmt(weights[i - 1]))))
-    _atomic_write(path, ["\n".join(lines) + "\n"])
+    _atomic_write(path, [_text(lines)])
 
 
 def write_pole_csv(poles: list[ResonancePole], path: str,
@@ -109,7 +136,7 @@ def write_pole_csv(poles: list[ResonancePole], path: str,
         lines.append(",".join((
             fmt(pole.energy.real), fmt(pole.energy.imag), fmt(pole.residual),
             fmt(pole.overlap), str(pole.iterations))))
-    _atomic_write(path, ["\n".join(lines) + "\n"])
+    _atomic_write(path, [_text(lines)])
 
 
 def write_determinant_grid_csv(grid: DeterminantGrid, path: str,
@@ -117,13 +144,10 @@ def write_determinant_grid_csv(grid: DeterminantGrid, path: str,
     """Grid samples with ln|det| and the sign columns the contour view needs."""
     lines = _header_lines(params or {})
     lines.append("Re E,Im E,ln_abs_det,sign_Re_det,sign_Im_det")
-    sr = grid.sign_re()
-    si = grid.sign_im()
-    for i, y in enumerate(grid.im):
-        for j, x in enumerate(grid.re):
-            lines.append(",".join((fmt(x), fmt(y), fmt(grid.log_abs[i, j]),
-                                   str(sr[i, j]), str(si[i, j]))))
-    _atomic_write(path, ["\n".join(lines) + "\n"])
+    n_im, n_re = grid.log_abs.shape
+    columns = (np.tile(grid.re, n_im), np.repeat(grid.im, n_re), grid.log_abs.ravel())
+    tails = _SIGN_TAILS[grid.sign_re().ravel() + 1, grid.sign_im().ravel() + 1]
+    _atomic_write(path, _csv_chunks(lines, columns, tails))
 
 
 def write_summary_csv(rows: list[dict], path: str) -> None:
@@ -132,7 +156,7 @@ def write_summary_csv(rows: list[dict], path: str) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(fmt(row[c]) for c in columns))
-    _atomic_write(path, ["\n".join(lines) + "\n"])
+    _atomic_write(path, [_text(lines)])
 
 
 def sha256_of(path: str) -> str:
@@ -183,5 +207,5 @@ class ManifestBuilder:
             "files": inventory,
         }
         path = os.path.join(self.out_dir, "manifest.json")
-        _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+        _atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
         return path

@@ -7,7 +7,8 @@ every name it patches must keep resolving.  Likewise every CLI command its
 workloads (``perfbench/workloads.py``) run must keep parsing, so that a
 removed option fails here rather than as benchmark failures.  The far
 history of ``evolve`` must stay block-sized, so that a long trajectory, the
-benchmark's largest op, keeps its cost; the oracle must never form the
+benchmark's largest op, keeps its cost; its CSV must be formatted in
+chunks, so that it keeps its memory; the oracle must never form the
 (N + M)-square full Hamiltonian, so that the oracle op keeps its cost.  The
 names the ``gaah`` package exports are pinned, so that adding or removing
 one is a visible diff here.
@@ -28,7 +29,8 @@ import scipy.fft
 import scipy.linalg
 
 import gaah
-from gaah import cli, dynamics, oracle
+from gaah import cli, dynamics, oracle, output
+from gaah._floatfmt import format_rows
 from gaah.bath import BathParams
 from gaah.model import ModelParams, build_hamiltonian, diagonalize, highest_excited_state
 
@@ -140,6 +142,27 @@ def test_history_transforms_stay_block_sized(monkeypatch):
                     dynamics.TimeGrid(dt=0.01, steps=10 * block + 1))
     assert len(lengths) >= 10
     assert max(lengths) <= 2 * block
+
+
+def test_csv_formatting_stays_chunk_sized(tmp_path, monkeypatch):
+    # Formatting a t = 1200 trajectory in one block would hold the text of
+    # all 120,001 x 7 values at once, 25 MB of slots and then twice 15 MB of
+    # bytes, while every byte written stayed the same.
+    rows = []
+
+    def recorded(block, tail):
+        rows.append(len(block))
+        return format_rows(block, tail)
+
+    monkeypatch.setattr(output, "format_rows", recorded)
+    chunk = output._CSV_CHUNK_ROWS
+    grid = dynamics.TimeGrid(dt=0.01, steps=3 * chunk + 5)
+    x = np.linspace(0.0, 1.0, grid.steps + 1)
+    traj = dynamics.Trajectory(grid=grid, sp=x, ipr=x, norm=x, variance=x,
+                               collective=x * (1 + 1j), params={})
+    output.write_trajectory_csv(traj, str(tmp_path / "t.csv"))
+    assert sum(rows) == grid.steps + 1
+    assert max(rows) <= chunk
 
 
 def test_oracle_never_forms_the_full_matrix(monkeypatch):
