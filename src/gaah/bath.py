@@ -15,6 +15,7 @@ best by one of the two (see :class:`ResiduePrescription`).
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -229,7 +230,9 @@ class SigmaMode(enum.Enum):
     """How the self-energy is evaluated at complex E during root finding.
 
     REAL_AXIS pins the integral to x = Re(E); valid for any s, exact for
-    narrow resonances, and the only choice for Re(E) <= 0.  CONTINUED
+    narrow resonances, and the only choice for Re(E) <= 0.  At s = 1 it is
+    the closed form at x, which equals the quadrature of
+    :func:`self_energy` to rounding; other s take the quadrature.  CONTINUED
     evaluates the s = 1 closed form at complex E, which stays faithful for
     broad resonances as well; it requires Re(E) > 0 (the exponential
     integral's branch cut sits on the negative real axis).  AUTO picks
@@ -253,6 +256,8 @@ def self_energy_eval(b: BathParams, E,
     The continued mode also takes an array of E."""
     mode = mode.resolve(b)
     if mode is SigmaMode.REAL_AXIS:
+        if b.s == 1.0:
+            return self_energy_closed_form(b, np.real(E), p)
         return self_energy(b, E, p)
     if b.s != 1.0:
         raise ParameterError("continued self-energy requires s = 1")
@@ -262,3 +267,28 @@ def self_energy_eval(b: BathParams, E,
             f"continued self-energy needs Re(E) > 0, got Re(E) = {float(lowest)}; "
             "use REAL_AXIS")
     return self_energy_closed_form(b, E, p)
+
+
+def _self_energy_slope(b: BathParams, E: complex,
+                       p: ResiduePrescription = ResiduePrescription.HALF,
+                       mode: SigmaMode = SigmaMode.AUTO) -> complex:
+    """The slope of :func:`self_energy_eval` at scalar E: dSigma/dE when
+    continued, dSigma/dRe(E) on the real axis.  At s = 1 it is closed form,
+
+        eta * (exp(-u) Ei(u) (1 - u) + 1) - i c eta exp(-u) (1 - u),
+
+    u = E/omega_c, from d/du Ei(u) = e^u / u, with the residue term dropped
+    at Re E <= 0 as in the value; other s take a central difference of the
+    quadrature.  The caller has evaluated Sigma(E), so its guards hold."""
+    z = complex(E) if mode.resolve(b) is SigmaMode.CONTINUED else complex(E.real)
+    if b.eta == 0.0:
+        return 0j
+    if b.s != 1.0:
+        dx = 1e-7 * (1.0 + abs(z))
+        return (self_energy(b, z + dx, p) - self_energy(b, z - dx, p)) / (2.0 * dx)
+    u = z / b.omega_c
+    decay = cmath.exp(-u)
+    value = b.eta * (decay * complex(expi(u)) * (1.0 - u) + 1.0)
+    if z.real > 0.0:
+        value -= 1j * p.residue_factor * b.eta * decay * (1.0 - u)
+    return value

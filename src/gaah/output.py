@@ -129,7 +129,9 @@ def write_spectrum_csv(dec: EigenDecomposition, weights: np.ndarray,
 
 def write_pole_csv(poles: list[ResonancePole], path: str,
                    params: dict | None = None) -> None:
-    """One record per pole: Re E, Im E, residual, overlap, iterations."""
+    """One record per pole: Re E, Im E, residual, overlap, iterations.  The
+    residual is |h| = |(lambda_k - E) F(E)| at the pole, with lambda_k the
+    level nearest it, and iterations counts the Newton steps."""
     lines = _header_lines(params or {})
     lines.append("Re E,Im E,residual,overlap,iterations")
     for pole in poles:

@@ -12,8 +12,8 @@ Sigma at complex E is evaluated under a SigmaMode: pinned to the real axis
 (any s; exact for narrow resonances) or analytically continued through the
 s = 1 closed form (faithful for broad resonances too).  The real-axis
 variant makes det M smooth but *not* holomorphic in E, so root finding
-treats (Re E, Im E) as two real unknowns with a full 2x2 Jacobian from
-central differences; that iteration handles the continued variant as well.
+treats (Re E, Im E) as two real unknowns with a full, analytic 2x2
+Jacobian; in the continued variant that iteration is the complex Newton.
 
 Everything is evaluated from one eigendecomposition H_S = sum_m lambda_m
 u_m u_m^T.  Because U = |1><1| has rank one,
@@ -34,21 +34,21 @@ gap midpoint and needs no scan of the window.  ``scan_grid`` samples the
 determinant landscape for the figure data only.
 
 The secular form is the only route that ships.  The dense matrix M(E), its
-LU determinant, inverse iteration for the null vector and the sign-crossing
-cells of a scanned grid live in the tests as independent oracles.  ``self_consistent_pole`` (fixed-point iteration on
-the dressed eigenproblem) stays here as the public cross-check of refined
-poles.
+LU determinant, inverse iteration for the null vector, the sign-crossing
+cells of a scanned grid and the finite-difference Newton on det M live in
+the tests as oracles.  ``self_consistent_pole`` (fixed-point iteration on
+the dressed eigenproblem) stays here as the public cross-check of poles.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathParams, ResiduePrescription, SigmaMode, self_energy_eval
+from .bath import (BathParams, ResiduePrescription, SigmaMode, _self_energy_slope,
+                   self_energy_eval)
 from .errors import NumericsError, ParameterError, PrescriptionViolationError
 from .model import (
     EigenDecomposition,
@@ -258,13 +258,7 @@ class ResonancePole:
     overlap: float
     iterations: int
     converged: bool
-    residual: float        # |det| / exp(common scale) at the solution
-
-
-def _det_value(model, bath, E, prescription, sigma_mode, scale, dec):
-    log_abs, phase = char_determinant_scaled(model, bath, E, prescription, sigma_mode,
-                                             dec=dec)
-    return cmath.exp(log_abs - scale) * phase
+    residual: float        # |h| = |(lambda_k - E) F(E)| at the solution
 
 
 def null_vector(model: ModelParams, bath: BathParams, energy: complex,
@@ -296,72 +290,72 @@ def state_overlap(vector: np.ndarray, state: np.ndarray) -> float:
     return float(np.abs(np.vdot(s, v)) ** 2)
 
 
+def _deflated_secular(lam: np.ndarray, w: np.ndarray, E: complex, sigma: complex,
+                      k: int) -> tuple[complex, complex, complex]:
+    """h = (lambda_k - E) F(E) = (lambda_k - E)(1 + Sigma r) + Sigma w_k with
+    r = sum_{m != k} w_m / (lambda_m - E), and its partials dh/dE at fixed
+    Sigma and dh/dSigma."""
+    d = lam - E
+    d_k, d[k] = d[k], 1.0
+    q = w / d
+    q[k] = 0.0
+    r = complex(q.sum())
+    h = d_k * (1.0 + sigma * r) + sigma * w[k]
+    return h, d_k * sigma * complex((q / d).sum()) - 1.0 - sigma * r, d_k * r + w[k]
+
+
 def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
                 prescription: ResiduePrescription = ResiduePrescription.HALF,
                 sigma_mode: SigmaMode = SigmaMode.AUTO,
                 dec: EigenDecomposition | None = None) -> ResonancePole:
-    """Drive det M(E) to zero by a damped 2D Newton iteration in
-    (Re E, Im E).  The overlap is taken with the highest excited state.
-
-    The determinant is evaluated in scaled form and the five-point stencil of
-    each iteration shares a common scale, so the Jacobian stays well
-    conditioned even when |det| traverses many orders of magnitude.  Treating
-    the two real coordinates separately costs nothing when Sigma is
-    holomorphic and is required when it is pinned to the real axis.
+    """Drive h(E) = (lambda_k - E) F(E), k the level nearest the iterate, to
+    zero by a damped Newton iteration in (Re E, Im E); solved from its
+    nearer pole, h stays finite on a level and at eta = 0.  The 2x2 Jacobian
+    is analytic: d_x h = h_E + h_Sigma Sigma', d_y h = i h_E, plus
+    i h_Sigma Sigma' where Sigma is continued, and then the step is the
+    complex Newton's.  The overlap is taken with the highest excited state.
 
     Raises PrescriptionViolationError if the converged pole sits above the
     real axis by more than the clamping threshold.
     """
     dec = _decomposition(model, dec)
-    x, y = float(seed.real), float(seed.imag)
+    mode = sigma_mode.resolve(bath)
+    lam, w = dec.energies, collective_weights(dec)
+    E = complex(seed)
+    sigma = self_energy_eval(bath, E, prescription, mode)
     it = 0
     converged = False
     resid = math.inf
     for it in range(1, NEWTON_MAX_ITER + 1):
-        h = 1e-7 * (1.0 + math.hypot(x, y))
-        pts = [complex(x, y), complex(x + h, y), complex(x - h, y),
-               complex(x, y + h), complex(x, y - h)]
-        scaled = [char_determinant_scaled(model, bath, E, prescription, sigma_mode,
-                                          dec=dec)
-                  for E in pts]
-        scale = max(la for la, _ in scaled)
-        if scale == -math.inf:
-            converged = True
-            resid = 0.0
-            break
-        D = [cmath.exp(la - scale) * ph for la, ph in scaled]
-        F = np.array([D[0].real, D[0].imag])
-        resid = float(np.hypot(*F))
-        J = np.array([
-            [(D[1].real - D[2].real) / (2 * h), (D[3].real - D[4].real) / (2 * h)],
-            [(D[1].imag - D[2].imag) / (2 * h), (D[3].imag - D[4].imag) / (2 * h)],
-        ])
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError as exc:
-            raise NumericsError(
-                f"singular Newton Jacobian near E = {complex(x, y)}") from exc
+        k = int(np.argmin(np.abs(lam - E.real)))
+        h, h_E, h_sigma = _deflated_secular(lam, w, E, sigma, k)
+        d_x = h_E + h_sigma * _self_energy_slope(bath, E, prescription, mode)
+        d_y = 1j * (d_x if mode is SigmaMode.CONTINUED else h_E)
+        # Cramer's rule for d_x * step.real + d_y * step.imag = -h.
+        det = (d_x.conjugate() * d_y).imag
+        if det == 0.0:
+            raise NumericsError(f"singular Newton Jacobian near E = {E}")
+        step = complex((d_y.conjugate() * h).imag, -(d_x.conjugate() * h).imag) / det
         # backtrack if the full step overshoots
         lam_bt = 1.0
         for _ in range(6):
-            xn, yn = x + lam_bt * step[0], y + lam_bt * step[1]
-            Dn = _det_value(model, bath, complex(xn, yn), prescription, sigma_mode,
-                            scale, dec)
-            if abs(Dn) <= resid or lam_bt < 0.05:
+            E_next = E + lam_bt * step
+            sigma = self_energy_eval(bath, E_next, prescription, mode)
+            resid = abs(_deflated_secular(lam, w, E_next, sigma, k)[0])
+            if resid <= abs(h) or lam_bt < 0.05:
                 break
             lam_bt *= 0.5
-        x, y = x + lam_bt * step[0], y + lam_bt * step[1]
-        if lam_bt * math.hypot(*step) < POLE_TOL * (1.0 + math.hypot(x, y)):
+        E = E_next
+        if lam_bt * abs(step) < POLE_TOL * (1.0 + abs(E)):
             converged = True
             break
-    if y > IM_CLAMP:
-        raise PrescriptionViolationError(complex(x, y))
-    if 0.0 < y <= IM_CLAMP:
-        y = 0.0
-    energy = complex(x, y)
-    vec = null_vector(model, bath, energy, dec=dec)
+    if E.imag > IM_CLAMP:
+        raise PrescriptionViolationError(E)
+    if 0.0 < E.imag <= IM_CLAMP:
+        E = complex(E.real, 0.0)
+    vec = null_vector(model, bath, E, dec=dec)
     return ResonancePole(
-        energy=energy,
+        energy=E,
         vector=vec,
         overlap=state_overlap(vec, highest_excited_state(dec)),
         iterations=it,

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import exp1, expi
 
 from gaah.bath import (
     BathParams,
-    _dispersive_part,
     ResiduePrescription,
     SigmaMode,
+    _dispersive_part,
+    _self_energy_slope,
     memory_kernel,
     self_energy,
     self_energy_closed_form,
@@ -258,6 +260,99 @@ class TestSelfEnergy:
         value = _dispersive_part(0.1, 10.0, s, 1e-6)
         assert isinstance(value, float)
         assert math.isfinite(value)
+
+    @pytest.mark.parametrize("x", [-50.0, -5.0, -0.5, 1e-6, 0.5, 2.9522, 6.0, 9.0,
+                                   30.0, 95.0])
+    def test_dispersive_part_super_ohmic_exact_form(self, x):
+        # The quadrature is the route for s != 1.  At s = 2, w^2 = (w - x)(w + x)
+        # + x^2 reduces it to the s = 1 integral:
+        # (eta/omega_c) (x^2 e^{-u} Ei(u) - x omega_c - omega_c^2), u = x/omega_c.
+        eta, omega_c = 0.1, 10.0
+        u = x / omega_c
+        exact = eta / omega_c * (x * x * math.exp(-u) * expi(u) - x * omega_c
+                                 - omega_c ** 2)
+        value = _dispersive_part(eta, omega_c, 2.0, x)
+        assert abs(value - exact) <= 1e-12 * (1.0 + abs(exact))
+
+    @pytest.mark.parametrize("p", [HALF, FULL])
+    @pytest.mark.parametrize("y", [0.0, -1e-3, -0.1])
+    def test_closed_form_slope_vs_central_differences(self, bath, p, y):
+        # Sigma is holomorphic off the cut, so the slope is the difference
+        # quotient along the real and along the imaginary direction alike.
+        # The points span the default window of the default lattice.
+        for x in (0.05, 0.5, 1.5, 2.9522, 4.0, 5.95):
+            E = complex(x, y)
+            slope = _self_energy_slope(bath, E, p, SigmaMode.CONTINUED)
+            step = 1e-5 * (1.0 + abs(E))
+            for d in (step, 1j * step):
+                quotient = (self_energy_closed_form(bath, E + d, p)
+                            - self_energy_closed_form(bath, E - d, p)) / (2.0 * d)
+                assert abs(slope - quotient) <= 1e-8 * (1.0 + abs(slope))
+
+    @pytest.mark.parametrize("p", [HALF, FULL])
+    def test_closed_form_slope_on_the_real_axis(self, bath, p):
+        # The real-axis self-energy at s = 1 is the closed form at Re E, whose
+        # slope along x is the same expression at real x.
+        for x in (-5.0, -0.5, 0.05, 0.5, 2.9522, 6.0, 9.0, 30.0):
+            step = 1e-5 * (1.0 + abs(x))
+            quotient = (self_energy_eval(bath, x + step - 0.1j, p, SigmaMode.REAL_AXIS)
+                        - self_energy_eval(bath, x - step - 0.1j, p, SigmaMode.REAL_AXIS)
+                        ) / (2.0 * step)
+            slope = _self_energy_slope(bath, x, p, SigmaMode.REAL_AXIS)
+            assert abs(slope - quotient) <= 1e-8 * (1.0 + abs(slope))
+
+    def test_closed_form_slope_vs_first_sheet_form(self, bath):
+        # The first-sheet self-energy Sigma_I = eta (-omega_c - E e^{-u} E1(-u))
+        # has its cut on E >= 0, and Sigma_I' = -eta (e^{-u} E1(-u) (1 - u) - 1).
+        # Below the real axis Ei(u) = -E1(-u) - i pi, so at Re E > 0 the closed
+        # form's slope there is Sigma_I' - i (pi + c) eta e^{-u} (1 - u): the
+        # second sheet's Sigma_II' = Sigma_I' - 2 pi i eta e^{-u} (1 - u) at
+        # c = pi.  On the negative axis the two forms coincide.
+        eta, omega_c = bath.eta, bath.omega_c
+
+        def sigma_1(E):
+            u = E / omega_c
+            return eta * (-omega_c - E * np.exp(-u) * exp1(-u))
+
+        def slope_1(E):
+            u = E / omega_c
+            return -eta * (np.exp(-u) * exp1(-u) * (1.0 - u) - 1.0)
+
+        for E in (0.5 - 1e-3j, 2.9522 - 0.1j, 6.0 - 1e-3j, -0.5 - 0.1j, -3.0 + 0j):
+            step = 1e-5 * (1.0 + abs(E))
+            quotient = (sigma_1(E + step) - sigma_1(E - step)) / (2.0 * step)
+            assert abs(slope_1(E) - quotient) <= 1e-8 * (1.0 + abs(quotient))
+            sheet = np.exp(-E / omega_c) * (1.0 - E / omega_c)
+            for p in (HALF, FULL):
+                shift = (math.pi * (E.imag < 0.0)
+                         + p.residue_factor * (E.real > 0.0))
+                expected = slope_1(E) - 1j * shift * eta * sheet
+                slope = _self_energy_slope(bath, E, p, SigmaMode.CONTINUED)
+                assert abs(slope - expected) <= 1e-13 * (1.0 + abs(expected))
+
+    @pytest.mark.parametrize("x", [-5.0, 0.5, 2.9522, 30.0])
+    def test_quadrature_slope_super_ohmic(self, x):
+        # Off s = 1 the slope is a central difference of the quadrature; at
+        # s = 2 it has the exact form (eta/omega_c) (e^{-u} Ei(u) (2x - x^2/omega_c)
+        # + x - omega_c) - i c J'(x), with J' = (eta/omega_c) e^{-u} (2x - x^2/omega_c).
+        b = BathParams(s=2.0)
+        u = x / b.omega_c
+        poly = math.exp(-u) * (2.0 * x - x * x / b.omega_c)
+        exact = b.eta / b.omega_c * (poly * expi(u) + x - b.omega_c)
+        if x > 0.0:
+            exact -= 1j * HALF.residue_factor * b.eta / b.omega_c * poly
+        slope = _self_energy_slope(b, x - 0.1j, HALF, SigmaMode.REAL_AXIS)
+        assert abs(slope - exact) <= 1e-8 * (1.0 + abs(exact))
+
+    def test_real_axis_mode_is_the_closed_form_at_s_1(self, bath):
+        # The real-axis route at s = 1 runs no quadrature: it is the closed
+        # form at Re E, with its guard and its zero residue term at x <= 0.
+        for E in (-5.0 - 0.1j, 0.0, 0.5 - 1e-3j, 2.9522, 9.0 - 0.2j):
+            for p in (HALF, FULL):
+                assert self_energy_eval(bath, E, p, SigmaMode.REAL_AXIS) == (
+                    self_energy_closed_form(bath, E.real, p))
+        with pytest.raises(ParameterError, match="guard"):
+            self_energy_eval(bath, 150.0 - 0.1j, HALF, SigmaMode.REAL_AXIS)
 
     def test_real_part_continuous_at_zero(self, bath):
         below = self_energy(bath, -1e-4, HALF)

@@ -16,6 +16,7 @@ from gaah.model import (
     ModelParams,
     build_hamiltonian,
     diagonalize,
+    highest_excited_state,
 )
 from gaah.reference import REFERENCE_POLES
 from gaah.spectrum import (
@@ -154,6 +155,63 @@ def _inverse_iteration_null_vector(model, bath, E, prescription=HALF,
         v /= np.linalg.norm(v)
     k = int(np.argmax(np.abs(v)))
     return v * np.exp(-1j * np.angle(v[k]))
+
+
+def _stencil_refine_pole(model, bath, seed, prescription=HALF,
+                         sigma_mode=SigmaMode.AUTO, dec=None):
+    """Oracle: the retired refinement.  A damped 2D Newton on the scaled
+    det M(E) with a five-point central-difference Jacobian, the stencil
+    sharing one common scale, and the same backtracking and clamping."""
+    dec = dec if dec is not None else diagonalize(build_hamiltonian(model))
+
+    def det(E, scale):
+        log_abs, phase = char_determinant_scaled(model, bath, E, prescription,
+                                                 sigma_mode, dec=dec)
+        return cmath.exp(log_abs - scale) * phase
+
+    x, y = float(seed.real), float(seed.imag)
+    it, converged, resid = 0, False, np.inf
+    for it in range(1, spectrum.NEWTON_MAX_ITER + 1):
+        h = 1e-7 * (1.0 + np.hypot(x, y))
+        pts = [complex(x, y), complex(x + h, y), complex(x - h, y),
+               complex(x, y + h), complex(x, y - h)]
+        scaled = [char_determinant_scaled(model, bath, E, prescription, sigma_mode,
+                                          dec=dec) for E in pts]
+        scale = max(la for la, _ in scaled)
+        if scale == -np.inf:
+            converged, resid = True, 0.0
+            break
+        D = [cmath.exp(la - scale) * ph for la, ph in scaled]
+        F = np.array([D[0].real, D[0].imag])
+        resid = float(np.hypot(*F))
+        J = np.array([
+            [(D[1].real - D[2].real) / (2 * h), (D[3].real - D[4].real) / (2 * h)],
+            [(D[1].imag - D[2].imag) / (2 * h), (D[3].imag - D[4].imag) / (2 * h)],
+        ])
+        try:
+            step = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(f"singular Newton Jacobian near E = {complex(x, y)}") \
+                from exc
+        lam_bt = 1.0
+        for _ in range(6):
+            xn, yn = x + lam_bt * step[0], y + lam_bt * step[1]
+            if abs(det(complex(xn, yn), scale)) <= resid or lam_bt < 0.05:
+                break
+            lam_bt *= 0.5
+        x, y = x + lam_bt * step[0], y + lam_bt * step[1]
+        if lam_bt * np.hypot(*step) < spectrum.POLE_TOL * (1.0 + np.hypot(x, y)):
+            converged = True
+            break
+    if y > spectrum.IM_CLAMP:
+        raise PrescriptionViolationError(complex(x, y))
+    if 0.0 < y <= spectrum.IM_CLAMP:
+        y = 0.0
+    energy = complex(x, y)
+    vec = null_vector(model, bath, energy, dec=dec)
+    return ResonancePole(energy=energy, vector=vec,
+                         overlap=state_overlap(vec, highest_excited_state(dec)),
+                         iterations=it, converged=converged, residual=resid)
 
 
 def _cluster_means(xs, tol=0.02):
@@ -401,6 +459,18 @@ class TestRefinePole:
         assert np.array_equal(pole.vector, eig.states[:, -1].astype(complex))
         assert pole.overlap == pytest.approx(1.0, abs=1e-12)
 
+    def test_far_pole_converges_quadratically(self, model, bath):
+        # Far below the real axis the h_Sigma Sigma' term weighs in the
+        # Jacobian.  Without it the continued Newton still converges to the
+        # second-sheet pole near 25.41 - 11.75i, but in about 40 steps.
+        seed = 25.0 - 11.0j
+        full = ResiduePrescription.FULL
+        pole = refine_pole(model, bath, seed, full, SigmaMode.CONTINUED)
+        oracle = _stencil_refine_pole(model, bath, seed, full, SigmaMode.CONTINUED)
+        assert pole.converged
+        assert pole.iterations <= 8
+        assert abs(pole.energy - oracle.energy) <= 1e-12 * (1.0 + abs(oracle.energy))
+
     def test_agrees_with_self_consistent_route(self, model, bath):
         # Independent routes: 2D Newton on det M vs fixed-point iteration on
         # the dressed eigenvalue problem.
@@ -492,6 +562,27 @@ class TestFindPoles:
         assert len(found) == len(expected) >= 2
         for p, q in zip(found, expected):
             assert abs(p.energy - q.energy) <= 1e-12
+
+    @pytest.mark.parametrize("case", [
+        *[(key, SigmaMode.AUTO, 1.0) for key in sorted(REFERENCE_POLES)],
+        *[(key, SigmaMode.REAL_AXIS, 1.0)
+          for key in ((0.0, 1.0, 0.1), (0.5, 0.5, 0.1), (0.5, 1.0, 0.1))],
+        ((0.0, 2.5, 0.1), SigmaMode.REAL_AXIS, 0.75),
+    ], ids=lambda c: "a{:g}-Delta{:g}-eta{:g}-{}-s{:g}".format(*c[0], c[1].value, c[2]))
+    def test_matches_the_stencil_newton(self, case, monkeypatch):
+        # The analytic-Jacobian Newton on the deflated secular function finds
+        # the poles the retired five-point-stencil Newton on det M found.
+        (a, delta, eta), sigma_mode, s = case
+        model = ModelParams(a=a, Delta=delta)
+        bath = BathParams(eta=eta, s=s)
+        region = default_search_region(model)
+        found = find_poles(model, bath, region, HALF, sigma_mode)
+        monkeypatch.setattr(spectrum, "refine_pole", _stencil_refine_pole)
+        expected = find_poles(model, bath, region, HALF, sigma_mode)
+        assert len(found) == len(expected) >= 2
+        for p, q in zip(found, expected):
+            assert abs(p.energy - q.energy) <= 1e-12 * (1.0 + abs(q.energy))
+            assert abs(p.overlap - q.overlap) <= 1e-12
 
     def test_never_scans(self, model, bath, monkeypatch):
         def refuse(*args, **kwargs):

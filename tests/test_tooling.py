@@ -8,10 +8,11 @@ workloads (``perfbench/workloads.py``) run must keep parsing, so that a
 removed option fails here rather than as benchmark failures.  The far
 history of ``evolve`` must stay block-sized, so that a long trajectory, the
 benchmark's largest op, keeps its cost; its CSV must be formatted in
-chunks, so that it keeps its memory; the oracle must never form the
-(N + M)-square full Hamiltonian, so that the oracle op keeps its cost.  The
-names the ``gaah`` package exports are pinned, so that adding or removing
-one is a visible diff here.
+chunks, so that it keeps its memory; an Ohmic pole search must run no
+self-energy quadrature, so that the pole ops keep their cost; the oracle
+must never form the (N + M)-square full Hamiltonian, so that the oracle op
+keeps its cost.  The names the ``gaah`` package exports are pinned, so that
+adding or removing one is a visible diff here.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import scipy.fft
 import scipy.linalg
 
 import gaah
-from gaah import cli, dynamics, oracle, output
+from gaah import cli, dynamics, oracle, output, spectrum
 from gaah._floatfmt import format_rows
-from gaah.bath import BathParams
+from gaah.bath import BathParams, SigmaMode
 from gaah.model import ModelParams, build_hamiltonian, diagonalize, highest_excited_state
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -163,6 +164,21 @@ def test_csv_formatting_stays_chunk_sized(tmp_path, monkeypatch):
     output.write_trajectory_csv(traj, str(tmp_path / "t.csv"))
     assert sum(rows) == grid.steps + 1
     assert max(rows) <= chunk
+
+
+def test_ohmic_pole_search_runs_no_quadrature(monkeypatch):
+    # At s = 1 both self-energy modes have a closed form and a closed-form
+    # slope; one adaptive quadrature per Newton point made a real-axis search
+    # take over a second while every pole stayed the same.
+    def refuse(*args):
+        raise AssertionError("the s = 1 pole search ran the self-energy quadrature")
+
+    monkeypatch.setattr("gaah.bath._dispersive_part", refuse)
+    model = ModelParams()
+    region = spectrum.default_search_region(model)
+    for mode in (SigmaMode.CONTINUED, SigmaMode.REAL_AXIS):
+        poles = spectrum.find_poles(model, BathParams(), region, sigma_mode=mode)
+        assert len(poles) >= 2
 
 
 def test_oracle_never_forms_the_full_matrix(monkeypatch):
