@@ -87,6 +87,15 @@ def _spectral_density_slope(b: BathParams, omega: float) -> float:
     return b.eta * b.omega_c ** (1.0 - b.s) * e * (b.s * w ** (b.s - 1.0) - w ** b.s / b.omega_c)
 
 
+def check_kernel_cut(s: float, omega_max: float) -> None:
+    """Refuse a kernel cut at ``omega_max`` that has no closed form: the
+    cut is closed-form at s = 1 alone, and only at a positive frequency."""
+    if s != 1.0:
+        raise ParameterError("truncated memory kernel is closed-form for s = 1 only")
+    if omega_max <= 0.0:
+        raise ParameterError(f"omega_max must be > 0, got {omega_max}")
+
+
 def memory_kernel(b: BathParams, t, omega_max: float = math.inf):
     """Bath correlation function f(t) = int_0^omega_max J(w) exp(-i w t) dw.
 
@@ -110,10 +119,7 @@ def memory_kernel(b: BathParams, t, omega_max: float = math.inf):
         amp = b.eta / b.omega_c ** (b.s - 1.0) * gamma(b.s + 1.0)
         out = amp / z ** (b.s + 1.0)
     else:
-        if b.s != 1.0:
-            raise ParameterError("truncated memory kernel is closed-form for s = 1 only")
-        if omega_max <= 0.0:
-            raise ParameterError(f"omega_max must be > 0, got {omega_max}")
+        check_kernel_cut(b.s, omega_max)
         zw = z * omega_max
         out = b.eta * (1.0 - np.exp(-zw) * (1.0 + zw)) / z ** 2
     return out if out.ndim else complex(out)

@@ -72,7 +72,7 @@ import scipy.fft
 import scipy.signal
 import scipy.special
 
-from .bath import BathParams
+from .bath import BathParams, check_kernel_cut
 from .errors import NumericsError, ParameterError, UnstableEvolutionError
 from .model import ModelParams, build_hamiltonian, diagonalize
 
@@ -214,10 +214,7 @@ def _product_tables(bath: BathParams, dt: float, steps: int,
     else:
         G1 = z ** (1.0 - s) / (s - 1.0) - (b / s) * z ** (-s)
     if not math.isinf(omega_max):
-        if s != 1.0:
-            raise ParameterError("truncated memory kernel is closed-form for s = 1 only")
-        if omega_max <= 0.0:
-            raise ParameterError(f"omega_max must be > 0, got {omega_max}")
+        check_kernel_cut(s, omega_max)
         decay = np.exp(-omega_max * z)
         G0 -= 1j * decay / z
         G1 += b * (decay / z) - decay - scipy.special.exp1(omega_max * z)

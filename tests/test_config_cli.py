@@ -390,6 +390,17 @@ class TestCliOracle:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "validation-failure"
 
+    def test_non_ohmic_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the exact side ran at s != 1")
+
+        monkeypatch.setattr(oracle, "arrowhead_eig", refuse)
+        rc = main(["oracle", "--out", str(tmp_path), "--set", "bath.s=2"])
+        assert rc == 2
+        assert "closed-form for s = 1 only" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "config-error"
+
 
     def test_secular_failure_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
         # One model step per root leaves the secular solve unconverged.

@@ -21,6 +21,7 @@ from gaah.model import (
 from gaah.oracle import (
     _PHASE_BLOCK,
     _arrowhead_form,
+    _blocks_per_product,
     _propagate,
     arrowhead_eig,
     compare_trajectories,
@@ -246,17 +247,48 @@ class TestEvolveFull:
         assert traj.norm[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(traj.norm) <= 1.0 + 1e-9
 
-    @pytest.mark.parametrize("steps", [_PHASE_BLOCK - 1, _PHASE_BLOCK,
-                                       _PHASE_BLOCK + 1, 3 * _PHASE_BLOCK + 5])
+    # Steps around the edges of a phase block (B times) and of a group of
+    # G blocks, as many as one product takes for the N + M = 307 of H below.
+    B, G = _PHASE_BLOCK, _blocks_per_product(7 + 300, 7)
+
+    @pytest.mark.parametrize("steps", [1, B - 1, B, B + 1, 3 * B + 5, G * B - 1,
+                                       G * B, G * B + 1, (G + 1) * B + 5])
     def test_blocked_phases_match_per_time_loop(self, small_model, small_init,
                                                 bath, steps):
-        H = full_hamiltonian(small_model, discretize_bath(bath, 300, 40.0))
-        N = small_model.N
-        grid = TimeGrid(dt=0.01, steps=steps)
+        self._check_blocked_phases(small_model, small_init, bath, steps)
+
+    def test_blocked_phases_with_complex_init(self, small_model, small_init, bath):
+        # A complex initial state makes c = V_sys^T init complex.
+        init = small_init * np.exp(1j * np.arange(small_model.N))
+        self._check_blocked_phases(small_model, init, bath,
+                                   (self.G + 1) * self.B + 5)
+
+    @staticmethod
+    def _check_blocked_phases(model, init, bath, steps):
+        H = full_hamiltonian(model, discretize_bath(bath, 300, 40.0))
+        N = model.N
+        assert H.shape[0] == 7 + 300
+        # dt = 0.01, or less where the grid would reach past the bath's
+        # recurrence time (47), which evolve_full refuses.
+        grid = TimeGrid(dt=min(0.01, 40.0 / steps), steps=steps)
         evals, V = np.linalg.eigh(H)
-        blocked = _propagate(evals, V[:N, :], small_init, grid)
+        blocked = _propagate(evals, V[:N, :], init, grid)
         assert blocked.shape == (steps + 1, N)
-        assert np.max(np.abs(blocked - _per_time_eig(H, N, small_init, grid))) <= 1e-13
+        assert np.max(np.abs(blocked - _per_time_eig(H, N, init, grid))) <= 1e-13
+
+    def test_decoupled_columns_are_left_out(self, small_model, small_init):
+        # At omega_c = 0.05 the couplings above omega ~ 37 underflow to 0:
+        # those modes deflate to eigenvectors with no site component.  Their
+        # eigenvalues are made NaN, which would poison any product they
+        # entered.
+        db = discretize_bath(BathParams(omega_c=0.05), 400, 80.0)
+        evals, V_sys = arrowhead_eig(*_arrowhead_form(small_model, db))
+        decoupled = ~np.any(V_sys != 0.0, axis=0)
+        assert np.count_nonzero(decoupled) >= 200
+        grid = TimeGrid.from_t_max(0.01, 20.0)
+        full = _per_time_eig_rows(evals, V_sys, small_init, grid)
+        alphas = _propagate(np.where(decoupled, np.nan, evals), V_sys, small_init, grid)
+        assert np.max(np.abs(alphas - full)) <= 1e-13
 
     def test_refuses_past_recurrence(self, small_model, small_init, bath):
         db = discretize_bath(bath, 100, 80.0)  # recurrence ~ 7.85
@@ -271,10 +303,18 @@ class TestEvolveFull:
 
 
 def _per_time_eig(H, N, init, grid):
-    """The eig propagation one time at a time: exp(-i E t) for each t."""
+    """The eig propagation with the phases exp(-i E t) taken at each t."""
     evals, V = np.linalg.eigh(H)
-    c = V[:N, :].T @ init
-    return np.array([V[:N, :] @ (np.exp(-1j * evals * t) * c) for t in grid.times()])
+    return _per_time_eig_rows(evals, V[:N, :], init, grid)
+
+
+def _per_time_eig_rows(evals, V_sys, init, grid):
+    """V_sys exp(-i E t) V_sys^T init over all columns, the phases taken at
+    each t, a thousand times per product."""
+    c = V_sys.T @ init
+    chunks = np.split(grid.times(), np.arange(1000, grid.steps + 1, 1000))
+    return np.concatenate([(np.exp(-1j * np.outer(t, evals)) * c) @ V_sys.T
+                           for t in chunks])
 
 
 class TestCompare:
@@ -322,6 +362,18 @@ class TestValidation:
         assert report.threshold == 1e-3
         assert report.max_sp_deviation < 1e-3
         assert report.passed
+
+    def test_non_ohmic_is_refused_before_either_side_runs(self, small_model,
+                                                           small_init, monkeypatch):
+        # The integrator side's cut kernel is closed-form at s = 1 alone, so
+        # the exact side's diagonalization and propagation would be wasted.
+        def refuse(*args):
+            raise AssertionError("the exact side ran at s != 1")
+
+        monkeypatch.setattr(oracle, "arrowhead_eig", refuse)
+        with pytest.raises(ParameterError, match="closed-form for s = 1 only"):
+            validate_against_oracle(small_model, BathParams(s=2.0), small_init,
+                                    TimeGrid.from_t_max(0.002, 10.0))
 
     def test_coarse_settings_fail(self, small_model, small_init, bath):
         report = validate_against_oracle(small_model, bath, small_init,

@@ -166,6 +166,25 @@ def test_csv_formatting_stays_chunk_sized(tmp_path, monkeypatch):
     assert max(rows) <= chunk
 
 
+def test_oracle_propagation_stays_block_sized():
+    # At the criterion-7 size (N = 7, N + M = 2007, 25,001 times) the
+    # propagation holds one block of phases and the shifted rows of a few
+    # blocks, 17 MB at its peak; the shifted rows of the whole grid alone
+    # would be 22 MB.
+    K, N = 2007, 7
+    rng = np.random.default_rng(7)
+    evals = np.sort(rng.uniform(-3.0, 80.0, K))
+    rows = np.linalg.qr(rng.normal(size=(K, N)))[0].T
+    init = np.eye(N)[0].astype(complex)
+    tracemalloc.start()
+    try:
+        oracle._propagate(evals, rows, init, dynamics.TimeGrid(dt=0.002, steps=25_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+
+
 def test_ohmic_pole_search_runs_no_quadrature(monkeypatch):
     # At s = 1 both self-energy modes have a closed form and a closed-form
     # slope; one adaptive quadrature per Newton point made a real-axis search
