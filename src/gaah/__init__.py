@@ -11,7 +11,6 @@ from .bath import (
     BathParams,
     ResiduePrescription,
     SigmaMode,
-    memory_kernel,
     self_energy,
     self_energy_closed_form,
     self_energy_eval,
@@ -22,7 +21,6 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     beat_envelope,
-    convergence_check,
     dominant_period,
     evolve,
     ipr,
@@ -42,7 +40,6 @@ from .errors import (
 from .model import (
     GOLDEN_MEAN_CONJUGATE,
     EigenDecomposition,
-    Hamiltonian,
     ModelParams,
     build_hamiltonian,
     diagonalize,
@@ -70,7 +67,6 @@ from .spectrum import (
     scan_grid,
     self_consistent_pole,
     state_overlap,
-    transition_frequency,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
-"""Ohmic-family environment: spectral density, memory kernel, self-energy.
+"""Ohmic-family environment: spectral density and self-energy.
 
 The bath enters the dynamics only through the spectral density
 
     J(w) = eta * w * (w / omega_c)^(s-1) * exp(-w / omega_c),
 
-its Fourier transform (the memory kernel), and the regularized level-shift
+its Fourier transform (the memory kernel, whose closed-form moments
+``dynamics`` integrates), and the regularized level-shift
 integral int_0^inf J(w) / (E - w) dw that dresses the lattice spectrum.  For
 E > 0 the integrand is singular and the integral is defined through the
 Cauchy principal value plus a residue term -i*c*J(E).  The textbook
@@ -15,7 +16,6 @@ best by one of the two (see :class:`ResiduePrescription`).
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import expi, gamma
+from scipy.special import expi
 
 from .errors import NumericsError, ParameterError
 
@@ -94,35 +94,6 @@ def check_kernel_cut(s: float, omega_max: float) -> None:
         raise ParameterError("truncated memory kernel is closed-form for s = 1 only")
     if omega_max <= 0.0:
         raise ParameterError(f"omega_max must be > 0, got {omega_max}")
-
-
-def memory_kernel(b: BathParams, t, omega_max: float = math.inf):
-    """Bath correlation function f(t) = int_0^omega_max J(w) exp(-i w t) dw.
-
-    For the full support (the default) this is, in closed form,
-
-        f(t) = eta / omega_c^(s-1) * Gamma(s+1) / (i t + 1/omega_c)^(s+1),
-
-    with f(0) = eta * Gamma(s+1) * omega_c**2.  A finite ``omega_max``
-    (s = 1 only) truncates the bath at that frequency, which makes the
-    kernel physically identical to a mode sampling of [0, omega_max]; the
-    discrete-bath comparison runs the integrator on this kernel (through its
-    closed-form product-integration moments) so that it measures solver
-    error rather than the spectral weight above the sampling window.
-    Accepts scalar or array ``t`` >= 0.
-    """
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0.0):
-        raise ParameterError("memory kernel is defined for t >= 0")
-    z = 1j * tt + 1.0 / b.omega_c
-    if math.isinf(omega_max):
-        amp = b.eta / b.omega_c ** (b.s - 1.0) * gamma(b.s + 1.0)
-        out = amp / z ** (b.s + 1.0)
-    else:
-        check_kernel_cut(b.s, omega_max)
-        zw = z * omega_max
-        out = b.eta * (1.0 - np.exp(-zw) * (1.0 + zw)) / z ** 2
-    return out if out.ndim else complex(out)
 
 
 def _checked_quad(f, lo, hi, **kw):
@@ -250,9 +221,13 @@ class SigmaMode(enum.Enum):
     AUTO = "auto"
 
     def resolve(self, b: BathParams) -> "SigmaMode":
-        if self is not SigmaMode.AUTO:
-            return self
-        return SigmaMode.CONTINUED if b.s == 1.0 else SigmaMode.REAL_AXIS
+        """The mode to evaluate with under ``b``; CONTINUED at s != 1 is
+        refused with ParameterError."""
+        if self is SigmaMode.AUTO:
+            return SigmaMode.CONTINUED if b.s == 1.0 else SigmaMode.REAL_AXIS
+        if self is SigmaMode.CONTINUED and b.s != 1.0:
+            raise ParameterError("continued self-energy requires s = 1")
+        return self
 
 
 def self_energy_eval(b: BathParams, E,
@@ -265,8 +240,6 @@ def self_energy_eval(b: BathParams, E,
         if b.s == 1.0:
             return self_energy_closed_form(b, np.real(E), p)
         return self_energy(b, E, p)
-    if b.s != 1.0:
-        raise ParameterError("continued self-energy requires s = 1")
     lowest = np.asarray(E).real.min()
     if b.eta != 0.0 and lowest <= 0.0:
         raise ParameterError(
@@ -275,26 +248,26 @@ def self_energy_eval(b: BathParams, E,
     return self_energy_closed_form(b, E, p)
 
 
-def _self_energy_slope(b: BathParams, E: complex,
+def _self_energy_slope(b: BathParams, E: complex, sigma: complex,
                        p: ResiduePrescription = ResiduePrescription.HALF,
                        mode: SigmaMode = SigmaMode.AUTO) -> complex:
-    """The slope of :func:`self_energy_eval` at scalar E: dSigma/dE when
-    continued, dSigma/dRe(E) on the real axis.  At s = 1 it is closed form,
+    """The slope of :func:`self_energy_eval` at scalar E, given its value
+    ``sigma`` there: dSigma/dE when continued, dSigma/dRe(E) on the real
+    axis.  At s = 1 the closed form Sigma = eta z e^{-u} (Ei(u) - i c) -
+    eta omega_c, u = z/omega_c (c = 0 at Re z <= 0), has the slope
 
-        eta * (exp(-u) Ei(u) (1 - u) + 1) - i c eta exp(-u) (1 - u),
+        (Sigma + eta omega_c) (1 - u) / z + eta,
 
-    u = E/omega_c, from d/du Ei(u) = e^u / u, with the residue term dropped
-    at Re E <= 0 as in the value; other s take a central difference of the
-    quadrature.  The caller has evaluated Sigma(E), so its guards hold."""
+    from d/du Ei(u) = e^u / u, with z = E when continued and z = Re E on
+    the real axis; it is nan at z = 0, where the slope diverges.  Other s
+    take a central difference of the quadrature.  The caller has evaluated
+    Sigma(E), so its guards hold."""
     z = complex(E) if mode.resolve(b) is SigmaMode.CONTINUED else complex(E.real)
     if b.eta == 0.0:
         return 0j
     if b.s != 1.0:
         dx = 1e-7 * (1.0 + abs(z))
         return (self_energy(b, z + dx, p) - self_energy(b, z - dx, p)) / (2.0 * dx)
-    u = z / b.omega_c
-    decay = cmath.exp(-u)
-    value = b.eta * (decay * complex(expi(u)) * (1.0 - u) + 1.0)
-    if z.real > 0.0:
-        value -= 1j * p.residue_factor * b.eta * decay * (1.0 - u)
-    return value
+    if z == 0.0:
+        return complex(math.nan, math.nan)
+    return (sigma + b.eta * b.omega_c) * (1.0 - z / b.omega_c) / z + b.eta

@@ -487,31 +487,3 @@ def dominant_period(times: np.ndarray, series: np.ndarray,
         raise ParameterError(
             f"found {len(peaks)} prominent maxima; need at least 2 for a period")
     return float(np.mean(np.diff(times[peaks])))
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Result of the dt-halving self-check."""
-
-    dt_coarse: float
-    dt_fine: float
-    max_sp_deviation: float
-    threshold: float
-    passed: bool
-
-
-def convergence_check(model: ModelParams, bath: BathParams, init: np.ndarray,
-                      grid: TimeGrid, threshold: float = 1e-4) -> ConvergenceReport:
-    """Run at dt and dt/2 and report the largest survival-probability
-    discrepancy on the shared grid points."""
-    coarse = evolve(model, bath, init, grid)
-    fine_grid = TimeGrid(dt=0.5 * grid.dt, steps=2 * grid.steps)
-    fine = evolve(model, bath, init, fine_grid)
-    dev = float(np.max(np.abs(coarse.sp - fine.sp[::2])))
-    return ConvergenceReport(
-        dt_coarse=grid.dt,
-        dt_fine=fine_grid.dt,
-        max_sp_deviation=dev,
-        threshold=threshold,
-        passed=dev < threshold,
-    )

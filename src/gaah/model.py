@@ -14,7 +14,7 @@ localized eigenstates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,16 +53,8 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class Hamiltonian:
-    """Dense real symmetric single-excitation Hamiltonian with its parameters."""
-
-    matrix: np.ndarray
-    params: ModelParams
-
-
-@dataclass(frozen=True)
 class EigenDecomposition:
-    """Sorted spectrum of a :class:`Hamiltonian`.
+    """Sorted spectrum of a real symmetric matrix.
 
     ``energies`` is ascending; column i of ``states`` is the orthonormal
     eigenvector paired with ``energies[i]``, sign-fixed so the component of
@@ -71,7 +63,6 @@ class EigenDecomposition:
 
     energies: np.ndarray
     states: np.ndarray
-    params: ModelParams = field(default=None, repr=False)
 
 
 def onsite_profile(params: ModelParams) -> np.ndarray:
@@ -81,10 +72,10 @@ def onsite_profile(params: ModelParams) -> np.ndarray:
     return params.Delta * c / (1.0 - params.a * c)
 
 
-def build_hamiltonian(params: ModelParams) -> Hamiltonian:
-    """Assemble the dense N x N matrix: hopping on the ring, potential on the
-    diagonal.  Periodic boundary puts ``lam`` in the corners (for N = 2 the
-    two bonds coincide and the off-diagonal element is 2*lam)."""
+def build_hamiltonian(params: ModelParams) -> np.ndarray:
+    """The dense real symmetric N x N matrix: hopping on the ring, potential
+    on the diagonal.  Periodic boundary puts ``lam`` in the corners (for
+    N = 2 the two bonds coincide and the off-diagonal element is 2*lam)."""
     N = params.N
     H = np.zeros((N, N), dtype=float)
     for n in range(N):
@@ -92,16 +83,13 @@ def build_hamiltonian(params: ModelParams) -> Hamiltonian:
         H[n, m] += params.lam
         H[m, n] += params.lam
     H[np.diag_indices(N)] = onsite_profile(params)
-    return Hamiltonian(matrix=H, params=params)
+    return H
 
 
-def diagonalize(H: Hamiltonian | np.ndarray) -> EigenDecomposition:
+def diagonalize(matrix: np.ndarray) -> EigenDecomposition:
     """Full symmetric eigendecomposition, ascending, deterministically
     sign-fixed (largest-magnitude component of each eigenvector positive)."""
-    if isinstance(H, Hamiltonian):
-        matrix, params = H.matrix, H.params
-    else:
-        matrix, params = np.asarray(H, dtype=float), None
+    matrix = np.asarray(matrix, dtype=float)
     if not np.allclose(matrix, matrix.T, atol=1e-12, rtol=0.0):
         raise ParameterError("matrix must be symmetric")
     try:
@@ -113,7 +101,7 @@ def diagonalize(H: Hamiltonian | np.ndarray) -> EigenDecomposition:
         col = states[:, i]
         if col[np.argmax(np.abs(col))] < 0.0:
             states[:, i] = -col
-    return EigenDecomposition(energies=energies, states=states, params=params)
+    return EigenDecomposition(energies=energies, states=states)
 
 
 def mobility_edge(params: ModelParams) -> float | None:

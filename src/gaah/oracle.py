@@ -106,7 +106,7 @@ def _arrowhead_form(model: ModelParams, dbath: DiscreteBath
     column l of ``rows`` holds the site components of basis state l + 1:
     B[:, j] for a level, zero for a mode.
     """
-    H = build_hamiltonian(model).matrix
+    H = build_hamiltonian(model)
     N = model.N
     c = np.full(N, 1.0 / np.sqrt(N))
     # The Householder reflection that swaps e_1 and c: its last N - 1

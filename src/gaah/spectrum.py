@@ -28,10 +28,14 @@ Sorensen, Numer. Math. 31, 1978).  At a zero of F the mode vector is
 diagonalizes once and hands the EigenDecomposition down through the ``dec``
 keyword; a determinant costs O(N) per point.
 
-The same structure seeds the search: the zeros of F sit one per level of
-H_S, so ``find_poles`` polishes one resummed estimate per level plus each
-gap midpoint and needs no scan of the window.  ``scan_grid`` samples the
-determinant landscape for the figure data only.
+One kernel evaluates the secular equation: h = (lambda_k - E) F(E), the
+level k nearest E factored out, which stays finite on that level and at
+eta = 0.  The determinant is prod_{m != k} (lambda_m - E) * h, the Newton
+polish drives h to zero, and the seeds are one fixed-Sigma Newton step of h
+from each level: the zeros of F sit one per level of H_S, so
+``find_poles`` polishes those seeds plus each gap midpoint and needs no
+scan of the window.  ``scan_grid`` samples the determinant landscape for
+the figure data only.
 
 The secular form is the only route that ships.  The dense matrix M(E), its
 LU determinant, inverse iteration for the null vector, the sign-crossing
@@ -80,28 +84,43 @@ def _decomposition(model: ModelParams,
     return dec if dec is not None else diagonalize(build_hamiltonian(model))
 
 
+def _deflated_secular(lam: np.ndarray, w: np.ndarray, E, sigma, k):
+    """h = (lambda_k - E) F(E) = (lambda_k - E)(1 + Sigma r) + Sigma w_k with
+    r = sum_{m != k} w_m / (lambda_m - E), and its partials dh/dE at fixed
+    Sigma and dh/dSigma.  E and k are scalars or 1-d arrays of one length,
+    Sigma a scalar or per point."""
+    d = lam - np.asarray(E)[..., None]
+    own = k if np.ndim(E) == 0 else (np.arange(len(E)), k)
+    d_k = d[own]
+    d[own] = 1.0
+    q = w / d
+    q[own] = 0.0
+    r = q.sum(axis=-1)
+    h = d_k * (1.0 + sigma * r) + sigma * w[k]
+    return h, d_k * sigma * (q / d).sum(axis=-1) - 1.0 - sigma * r, d_k * r + w[k]
+
+
 def _secular_scaled(dec: EigenDecomposition, energy: np.ndarray,
                     sigma) -> tuple[np.ndarray, np.ndarray]:
     """(ln|det M|, det M / |det M|) at each E of the 1-d array ``energy``,
     with Sigma there given as a scalar or per point.
 
-    Where E sits exactly on a level, the vanishing factor lambda_m - E is
-    multiplied into F, which leaves Sigma * w_m for a single level and 0 for
-    a degenerate one.  A zero determinant reads (-inf, 1).
+    det M = prod_{m != k} (lambda_m - E) * h with k the level nearest E and
+    h the deflated secular function, finite on that level.  A zero
+    determinant reads (-inf, 1); a second level exactly at E is a zero
+    factor, whatever h reads there.
     """
-    z = dec.energies - energy[:, None]
-    hit = z == 0.0
-    z[hit] = 1.0
-    w = collective_weights(dec)
-    F = np.where(hit.any(axis=1),
-                 sigma * (hit @ w) * (hit.sum(axis=1) == 1),
-                 1.0 + sigma * (w / z).sum(axis=1))
-    F_abs = np.abs(F)
-    zero = F_abs == 0.0
-    F_abs[zero] = 1.0
+    lam = dec.energies
+    k = np.abs(lam - energy.real[:, None]).argmin(axis=1)
+    z = lam - energy[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z[np.arange(len(energy)), k] = _deflated_secular(
+            lam, collective_weights(dec), energy, sigma, k)[0]
     mags = np.abs(z)
-    log_abs = np.log(mags).sum(axis=1) + np.log(F_abs)
-    phase = (z / mags).prod(axis=1) * (F / F_abs)
+    zero = (mags == 0.0).any(axis=1)
+    mags[zero] = 1.0
+    log_abs = np.log(mags).sum(axis=1)
+    phase = (z / mags).prod(axis=1)
     log_abs[zero] = -math.inf
     phase[zero] = 1.0
     return log_abs, phase
@@ -114,7 +133,7 @@ def char_determinant_scaled(model: ModelParams, bath: BathParams, energy: comple
                             ) -> tuple[float, complex]:
     """det M(E) in scaled form (log_abs, phase) with det = exp(log_abs) * phase
     and |phase| = 1, so grid scans over 21 sites never overflow.  From the
-    secular form, log_abs = sum_m ln|lambda_m - E| + ln|F(E)|."""
+    secular form, log_abs = sum_{m != k} ln|lambda_m - E| + ln|h(E)|."""
     dec = _decomposition(model, dec)
     sigma = self_energy_eval(bath, energy, prescription, sigma_mode)
     log_abs, phase = _secular_scaled(dec, np.array([complex(energy)]), sigma)
@@ -206,21 +225,23 @@ def scan_grid(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
 
 
 def perturbative_pole_seeds(model: ModelParams, bath: BathParams,
-                            region: PoleSearchRegion | None = None,
+                            region: PoleSearchRegion,
                             prescription: ResiduePrescription = ResiduePrescription.HALF,
                             sigma_mode: SigmaMode = SigmaMode.AUTO,
                             dec: EigenDecomposition | None = None) -> list[complex]:
     """Pole estimates from the rank-one structure, one per eigenstate.
 
-    Near lambda_m the zero condition 1 + Sigma * g(E) = 0 gives
+    Each is one Newton step lambda_k - h / h_E of the secular function
+    h = (lambda_k - E) F(E) from E = lambda_k at fixed Sigma(lambda_k):
 
-        E = lambda_m + w_m Sigma(lambda_m) / (1 + Sigma(lambda_m) g_reg),
+        E = lambda_k + w_k Sigma / (1 + Sigma r),
 
-    with g_reg the resolvent minus its singular term.  Resumming g_reg
-    matters: collective weights reach w ~ 20, so the bare first-order shift
-    w_m * Sigma can be wildly wrong.  One seed per eigenstate also keeps the
+    with r the resolvent minus its singular term.  Resumming r matters:
+    collective weights reach w ~ 20, so the bare first-order shift
+    w_k * Sigma can be wildly wrong.  One seed per eigenstate also keeps the
     members of a near-degenerate doublet apart, which a grid coarser than
-    their splitting would merge.
+    their splitting would merge.  Levels where Sigma is out of its guard
+    range give no seed.
 
     On top of the per-eigenstate estimates the midpoints of consecutive
     eigenvalues are seeded as well: the zeros of 1 + Sigma * g interlace the
@@ -233,19 +254,19 @@ def perturbative_pole_seeds(model: ModelParams, bath: BathParams,
     lam = dec.energies
     seeds = []
     for k in range(model.N):
-        if region is not None and not (region.re_min <= lam[k] <= region.re_max):
+        if not region.re_min <= lam[k] <= region.re_max:
             continue
+        E = complex(lam[k])
         try:
-            sig = self_energy_eval(bath, complex(lam[k]), prescription, sigma_mode)
+            sigma = self_energy_eval(bath, E, prescription, sigma_mode)
         except ParameterError:
             continue
-        g_reg = complex(np.sum(np.delete(w, k) / (np.delete(lam, k) - lam[k])))
-        seeds.append(complex(lam[k]) + w[k] * sig / (1.0 + sig * g_reg))
+        h, h_E, _ = _deflated_secular(lam, w, E, sigma, k)
+        seeds.append(complex(E - h / h_E))
     for k in range(model.N - 1):
         mid = 0.5 * (lam[k] + lam[k + 1])
-        if region is not None and not (region.re_min <= mid <= region.re_max):
-            continue
-        seeds.append(complex(mid))
+        if region.re_min <= mid <= region.re_max:
+            seeds.append(complex(mid))
     return seeds
 
 
@@ -290,20 +311,6 @@ def state_overlap(vector: np.ndarray, state: np.ndarray) -> float:
     return float(np.abs(np.vdot(s, v)) ** 2)
 
 
-def _deflated_secular(lam: np.ndarray, w: np.ndarray, E: complex, sigma: complex,
-                      k: int) -> tuple[complex, complex, complex]:
-    """h = (lambda_k - E) F(E) = (lambda_k - E)(1 + Sigma r) + Sigma w_k with
-    r = sum_{m != k} w_m / (lambda_m - E), and its partials dh/dE at fixed
-    Sigma and dh/dSigma."""
-    d = lam - E
-    d_k, d[k] = d[k], 1.0
-    q = w / d
-    q[k] = 0.0
-    r = complex(q.sum())
-    h = d_k * (1.0 + sigma * r) + sigma * w[k]
-    return h, d_k * sigma * complex((q / d).sum()) - 1.0 - sigma * r, d_k * r + w[k]
-
-
 def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
                 prescription: ResiduePrescription = ResiduePrescription.HALF,
                 sigma_mode: SigmaMode = SigmaMode.AUTO,
@@ -329,7 +336,7 @@ def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
     for it in range(1, NEWTON_MAX_ITER + 1):
         k = int(np.argmin(np.abs(lam - E.real)))
         h, h_E, h_sigma = _deflated_secular(lam, w, E, sigma, k)
-        d_x = h_E + h_sigma * _self_energy_slope(bath, E, prescription, mode)
+        d_x = h_E + h_sigma * _self_energy_slope(bath, E, sigma, prescription, mode)
         d_y = 1j * (d_x if mode is SigmaMode.CONTINUED else h_E)
         # Cramer's rule for d_x * step.real + d_y * step.imag = -h.
         det = (d_x.conjugate() * d_y).imag
@@ -370,7 +377,7 @@ def self_consistent_pole(model: ModelParams, bath: BathParams, seed: complex,
     """Independent pole route: iterate E <- eig(H_S + Sigma(E) U) picking the
     eigenvalue nearest the current E.  Converges linearly; used to
     cross-check the Newton refinement, not to replace it."""
-    H = build_hamiltonian(model).matrix.astype(complex)
+    H = build_hamiltonian(model).astype(complex)
     U = np.ones((model.N, model.N), dtype=complex)
     E = complex(seed)
     for _ in range(FIXED_POINT_MAX_ITER):
@@ -383,15 +390,6 @@ def self_consistent_pole(model: ModelParams, bath: BathParams, seed: complex,
     raise NumericsError(f"self-consistent pole iteration stalled near E = {E}")
 
 
-def transition_frequency(pole_a: complex | ResonancePole,
-                         pole_b: complex | ResonancePole) -> float:
-    """Beat (angular) frequency |Re E_a - Re E_b| between two resonances; the
-    survival-probability oscillation period is 2*pi over this."""
-    ea = pole_a.energy if isinstance(pole_a, ResonancePole) else pole_a
-    eb = pole_b.energy if isinstance(pole_b, ResonancePole) else pole_b
-    return abs(ea.real - eb.real)
-
-
 def find_poles(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
                prescription: ResiduePrescription = ResiduePrescription.HALF,
                sigma_mode: SigmaMode = SigmaMode.AUTO) -> list[ResonancePole]:
@@ -400,14 +398,15 @@ def find_poles(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
     each gap midpoint), keep the converged poles inside the region, then
     drop duplicates.  The zeros of 1 + Sigma g follow the levels one by one,
     so the seeds need no scan of the region.  Sorted by descending Re(E).
-    H_S is diagonalized once for the whole search."""
+    H_S is diagonalized once for the whole search.  A mode that ``bath``
+    cannot take (continued at s != 1) raises ParameterError up front."""
+    mode = sigma_mode.resolve(bath)
     dec = diagonalize(build_hamiltonian(model))
-    seeds = perturbative_pole_seeds(model, bath, region, prescription, sigma_mode,
-                                    dec=dec)
+    seeds = perturbative_pole_seeds(model, bath, region, prescription, mode, dec=dec)
     poles: list[ResonancePole] = []
     for seed in seeds:
         try:
-            pole = refine_pole(model, bath, seed, prescription, sigma_mode, dec=dec)
+            pole = refine_pole(model, bath, seed, prescription, mode, dec=dec)
         except (ParameterError, NumericsError, PrescriptionViolationError):
             continue
         if not pole.converged:

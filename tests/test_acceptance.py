@@ -16,7 +16,6 @@ from scipy.integrate import quad
 
 from gaah.bath import (
     BathParams,
-    memory_kernel,
     self_energy,
     self_energy_closed_form,
     spectral_density,
@@ -24,7 +23,6 @@ from gaah.bath import (
 from gaah.dynamics import (
     TimeGrid,
     beat_envelope,
-    convergence_check,
     dominant_period,
     evolve,
 )
@@ -43,7 +41,9 @@ from gaah.reference import (
     REFERENCE_SP_MAX,
     REFERENCE_TRANSITION,
 )
-from gaah.spectrum import default_search_region, find_poles, transition_frequency
+from gaah.spectrum import default_search_region, find_poles
+
+from helpers import convergence_check, memory_kernel, transition_frequency
 
 MODEL_A = ModelParams()                    # a = 0, Delta = 2.5 headline point
 MODEL_B = ModelParams(a=0.5, Delta=1.0)    # deformed-potential headline point
@@ -290,7 +290,7 @@ def test_criterion_8_property_battery(traj_a, traj_b, coupling_runs, capsys):
         H = build_hamiltonian(model)
         eig = diagonalize(H)
         residual = max(residual, float(np.max(np.abs(
-            H.matrix @ eig.states - eig.states * eig.energies))))
+            H @ eig.states - eig.states * eig.energies))))
     check("eigensolver residual", residual <= 1e-10, f"{residual:.1e}")
 
     sigma_gap = max(

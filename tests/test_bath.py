@@ -7,7 +7,9 @@ other rather than against copied constants wherever possible.
 
 from __future__ import annotations
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from gaah.bath import (
     SigmaMode,
     _dispersive_part,
     _self_energy_slope,
-    memory_kernel,
     self_energy,
     self_energy_closed_form,
     self_energy_eval,
@@ -30,6 +31,8 @@ from gaah.bath import (
 )
 from gaah.dynamics import _product_tables
 from gaah.errors import ParameterError
+
+from helpers import memory_kernel
 
 HALF = ResiduePrescription.HALF
 FULL = ResiduePrescription.FULL
@@ -42,6 +45,23 @@ def spectral_weight(b: BathParams, omega_max: float = math.inf) -> float:
                   points=[b.omega_c] if math.isfinite(omega_max) else None,
                   epsabs=1e-13, epsrel=1e-12, limit=400)
     return val
+
+
+def slope_at(b: BathParams, E, p: ResiduePrescription, mode: SigmaMode) -> complex:
+    """The self-energy slope at E from the Sigma a Newton iteration holds there."""
+    return _self_energy_slope(b, E, self_energy_eval(b, E, p, mode), p, mode)
+
+
+def ei_slope(b: BathParams, z: complex, p: ResiduePrescription) -> complex:
+    """Oracle: the s = 1 slope from its own exponential integral,
+    eta (e^{-u} Ei(u) (1 - u) + 1) - i c eta e^{-u} (1 - u), u = z/omega_c,
+    with the residue term dropped at Re z <= 0."""
+    u = z / b.omega_c
+    decay = cmath.exp(-u)
+    value = b.eta * (decay * complex(expi(u)) * (1.0 - u) + 1.0)
+    if z.real > 0.0:
+        value -= 1j * p.residue_factor * b.eta * decay * (1.0 - u)
+    return value
 
 
 def kernel_by_fourier_quadrature(b: BathParams, t: float,
@@ -282,7 +302,7 @@ class TestSelfEnergy:
         # The points span the default window of the default lattice.
         for x in (0.05, 0.5, 1.5, 2.9522, 4.0, 5.95):
             E = complex(x, y)
-            slope = _self_energy_slope(bath, E, p, SigmaMode.CONTINUED)
+            slope = slope_at(bath, E, p, SigmaMode.CONTINUED)
             step = 1e-5 * (1.0 + abs(E))
             for d in (step, 1j * step):
                 quotient = (self_energy_closed_form(bath, E + d, p)
@@ -298,7 +318,7 @@ class TestSelfEnergy:
             quotient = (self_energy_eval(bath, x + step - 0.1j, p, SigmaMode.REAL_AXIS)
                         - self_energy_eval(bath, x - step - 0.1j, p, SigmaMode.REAL_AXIS)
                         ) / (2.0 * step)
-            slope = _self_energy_slope(bath, x, p, SigmaMode.REAL_AXIS)
+            slope = slope_at(bath, x, p, SigmaMode.REAL_AXIS)
             assert abs(slope - quotient) <= 1e-8 * (1.0 + abs(slope))
 
     def test_closed_form_slope_vs_first_sheet_form(self, bath):
@@ -327,8 +347,34 @@ class TestSelfEnergy:
                 shift = (math.pi * (E.imag < 0.0)
                          + p.residue_factor * (E.real > 0.0))
                 expected = slope_1(E) - 1j * shift * eta * sheet
-                slope = _self_energy_slope(bath, E, p, SigmaMode.CONTINUED)
+                # The guard of the continued mode stops at Re E > 0; the closed
+                # form itself runs on across the negative axis.
+                slope = _self_energy_slope(bath, E, self_energy_closed_form(bath, E, p),
+                                           p, SigmaMode.CONTINUED)
                 assert abs(slope - expected) <= 1e-13 * (1.0 + abs(expected))
+
+    @pytest.mark.parametrize("mode", [SigmaMode.CONTINUED, SigmaMode.REAL_AXIS])
+    @pytest.mark.parametrize("p", [HALF, FULL])
+    def test_slope_from_sigma_matches_the_ei_form(self, bath, p, mode):
+        # The slope is taken from the Sigma in hand, with no exponential
+        # integral of its own.  Sigma carries a rounding error of about
+        # eps * eta * omega_c, which the division by z magnifies near 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1e-6, 1e-3, 0.05, 0.5, 2.9522, 5.95, 9.0, 30.0, 95.0,
+                      -0.5, -5.0, -95.0):
+                for y in (0.0, -1e-3, -0.1, -1.0, -11.0):
+                    if mode is SigmaMode.CONTINUED and x <= 0.0:
+                        continue
+                    E = complex(x, y)
+                    z = E if mode is SigmaMode.CONTINUED else complex(x)
+                    expected = ei_slope(bath, z, p)
+                    bound = (1e-14 * (1.0 + abs(expected))
+                             + 1e-15 * bath.eta * bath.omega_c / abs(z))
+                    assert abs(slope_at(bath, E, p, mode) - expected) <= bound
+            at_zero = slope_at(bath, 0.0, p, SigmaMode.REAL_AXIS)
+        assert math.isnan(at_zero.real) and math.isnan(at_zero.imag)
+        assert slope_at(BathParams(eta=0.0), 0.0, p, mode) == 0.0
 
     @pytest.mark.parametrize("x", [-5.0, 0.5, 2.9522, 30.0])
     def test_quadrature_slope_super_ohmic(self, x):
@@ -341,7 +387,7 @@ class TestSelfEnergy:
         exact = b.eta / b.omega_c * (poly * expi(u) + x - b.omega_c)
         if x > 0.0:
             exact -= 1j * HALF.residue_factor * b.eta / b.omega_c * poly
-        slope = _self_energy_slope(b, x - 0.1j, HALF, SigmaMode.REAL_AXIS)
+        slope = slope_at(b, x - 0.1j, HALF, SigmaMode.REAL_AXIS)
         assert abs(slope - exact) <= 1e-8 * (1.0 + abs(exact))
 
     def test_real_axis_mode_is_the_closed_form_at_s_1(self, bath):

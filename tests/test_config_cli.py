@@ -368,6 +368,16 @@ class TestCliErrors:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "numeric-failure"
 
+    def test_continued_mode_off_ohmic_is_a_config_error(self, tmp_path, capsys):
+        # Not "no poles converged": the mode is refused before any seed.
+        rc = main(["poles", "--out", str(tmp_path),
+                   "--set", "poles.sigma_mode=continued", "--set", "bath.s=0.5"])
+        assert rc == 2
+        assert "continued self-energy requires s = 1" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "config-error"
+        assert manifest["tasks"][0]["status"] == "config-error"
+
 
 class TestCliOracle:
     def test_pass(self, tmp_path, capsys):

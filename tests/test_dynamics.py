@@ -20,7 +20,6 @@ from gaah.dynamics import (
     _History,
     _product_tables,
     beat_envelope,
-    convergence_check,
     dominant_period,
     evolve,
     ipr,
@@ -28,9 +27,11 @@ from gaah.dynamics import (
     position_variance,
     survival_probability,
 )
-from gaah.bath import BathParams, memory_kernel
+from gaah.bath import BathParams
 from gaah.errors import ParameterError, UnstableEvolutionError
 from gaah.model import ModelParams, build_hamiltonian, diagonalize, state_ipr
+
+from helpers import convergence_check, memory_kernel
 
 DECOUPLED = BathParams(eta=0.0)
 

@@ -86,12 +86,12 @@ class TestOnsitePotential:
 
 class TestHamiltonian:
     def test_shape_and_symmetry(self, model):
-        H = build_hamiltonian(model).matrix
+        H = build_hamiltonian(model)
         assert H.shape == (model.N, model.N)
         assert np.array_equal(H, H.T)
 
     def test_ring_structure(self, model):
-        H = build_hamiltonian(model).matrix
+        H = build_hamiltonian(model)
         off = H - np.diag(np.diag(H))
         # Exactly 2N hopping entries: the two neighbours of each site.
         assert np.count_nonzero(off) == 2 * model.N
@@ -104,7 +104,7 @@ class TestHamiltonian:
         assert eig.energies == pytest.approx([-1.0, -1.0, 2.0], abs=1e-12)
 
     def test_diagonal_matches_profile(self, model):
-        H = build_hamiltonian(model).matrix
+        H = build_hamiltonian(model)
         assert np.allclose(np.diag(H), onsite_profile(model), atol=1e-14)
 
 
@@ -115,7 +115,7 @@ class TestDiagonalize:
         assert np.allclose(gram, np.eye(model.N), atol=1e-12)
 
     def test_residuals(self, model, eig):
-        H = build_hamiltonian(model).matrix
+        H = build_hamiltonian(model)
         residual = H @ eig.states - eig.states * eig.energies
         assert np.max(np.abs(residual)) <= 1e-10
 
@@ -198,7 +198,7 @@ class TestHighestExcitedState:
 
     def test_normalized_eigenvector(self, model, eig, es_state):
         assert np.linalg.norm(es_state) == pytest.approx(1.0, abs=1e-12)
-        H = build_hamiltonian(model).matrix
+        H = build_hamiltonian(model)
         residual = H @ es_state - eig.energies[-1] * es_state
         assert np.max(np.abs(residual)) <= 1e-10
 

@@ -81,7 +81,7 @@ def full_hamiltonian(model, dbath):
     """The dense (N + M)-square H_full, the oracle's dense reference."""
     N, M = model.N, dbath.modes
     H = np.zeros((N + M, N + M))
-    H[:N, :N] = build_hamiltonian(model).matrix
+    H[:N, :N] = build_hamiltonian(model)
     H[:N, N:] = dbath.couplings[np.newaxis, :]
     H[N:, :N] = dbath.couplings[:, np.newaxis]
     H[N + np.arange(M), N + np.arange(M)] = dbath.omegas
@@ -108,7 +108,7 @@ class TestFullHamiltonian:
         N = small_model.N
         assert H.shape == (N + 20, N + 20)
         assert np.array_equal(H, H.T)
-        assert np.array_equal(H[:N, :N], build_hamiltonian(small_model).matrix)
+        assert np.array_equal(H[:N, :N], build_hamiltonian(small_model))
         # every site couples to mode k with the same g_k
         for k in range(20):
             assert np.all(H[:N, N + k] == db.couplings[k])

@@ -13,6 +13,7 @@ from gaah import spectrum
 from gaah.bath import BathParams, ResiduePrescription, SigmaMode, self_energy_eval
 from gaah.errors import NumericsError, ParameterError, PrescriptionViolationError
 from gaah.model import (
+    EigenDecomposition,
     ModelParams,
     build_hamiltonian,
     diagonalize,
@@ -33,8 +34,9 @@ from gaah.spectrum import (
     scan_grid,
     self_consistent_pole,
     state_overlap,
-    transition_frequency,
 )
+
+from helpers import transition_frequency
 
 HALF = ResiduePrescription.HALF
 
@@ -49,8 +51,7 @@ def _characteristic_matrix(model, bath, E, prescription=HALF,
                            sigma_mode=SigmaMode.AUTO):
     """Oracle: the dense M(E) = H_S + Sigma(E) U - E I, U all ones."""
     sigma = self_energy_eval(bath, E, prescription, sigma_mode)
-    M = build_hamiltonian(model).matrix + sigma * np.ones((model.N, model.N),
-                                                          dtype=complex)
+    M = build_hamiltonian(model) + sigma * np.ones((model.N, model.N), dtype=complex)
     M[np.diag_indices(model.N)] -= E
     return M
 
@@ -141,6 +142,31 @@ def _grid_seeded_poles(model, bath, region, sigma_mode=SigmaMode.AUTO):
     return poles
 
 
+def _resummed_seeds(model, bath, region, prescription=HALF,
+                    sigma_mode=SigmaMode.AUTO):
+    """Oracle: the per-level seeds in their first-order form,
+    lambda_k + w_k Sigma / (1 + Sigma g_reg), with g_reg the resolvent at
+    lambda_k without its own level (np.delete), then the gap midpoints."""
+    dec = diagonalize(build_hamiltonian(model))
+    w = collective_weights(dec)
+    lam = dec.energies
+    seeds = []
+    for k in range(model.N):
+        if not region.re_min <= lam[k] <= region.re_max:
+            continue
+        try:
+            sig = self_energy_eval(bath, complex(lam[k]), prescription, sigma_mode)
+        except ParameterError:
+            continue
+        g_reg = complex(np.sum(np.delete(w, k) / (np.delete(lam, k) - lam[k])))
+        seeds.append(complex(lam[k]) + w[k] * sig / (1.0 + sig * g_reg))
+    for k in range(model.N - 1):
+        mid = 0.5 * (lam[k] + lam[k + 1])
+        if region.re_min <= mid <= region.re_max:
+            seeds.append(complex(mid))
+    return seeds
+
+
 def _inverse_iteration_null_vector(model, bath, E, prescription=HALF,
                                    sigma_mode=SigmaMode.AUTO, sweeps=3):
     """Oracle: null direction of M(E) by inverse iteration, started from the
@@ -229,14 +255,14 @@ class TestCharacteristicMatrix:
     def test_decoupled_structure(self, model):
         E = 1.3 - 0.2j
         M = _characteristic_matrix(model, DECOUPLED, E)
-        H = build_hamiltonian(model).matrix
+        H = build_hamiltonian(model)
         assert np.allclose(M, H - E * np.eye(model.N), atol=0)
 
     def test_rank_one_dressing(self, model, bath):
         E = 2.9 - 0.01j
         sigma = self_energy_eval(bath, E, HALF, SigmaMode.CONTINUED)
         M = _characteristic_matrix(model, bath, E, HALF, SigmaMode.CONTINUED)
-        H = build_hamiltonian(model).matrix
+        H = build_hamiltonian(model)
         # Every entry is shifted by the same sigma; the diagonal further
         # subtracts E.
         assert np.allclose(M - (H - E * np.eye(model.N)), sigma, atol=1e-14)
@@ -282,6 +308,31 @@ class TestDeterminant:
         assert la == -np.inf
         assert ph == 1.0
 
+    def test_exact_hits_on_the_flat_ring(self):
+        # The Delta = 0 ring of 4 sites, diagonalized by hand so that its
+        # levels -2, 0, 0, 2 are exactly degenerate and every state but the
+        # uniform one has w = 0 exactly.  A single hit on a w = 0 level and
+        # the double hit on the degenerate pair are zeros of det M; the hit
+        # on the uniform level is not.
+        r, h = 1.0 / np.sqrt(2.0), 0.5
+        states = np.array([[h, r, 0.0, h], [-h, 0.0, r, h],
+                           [h, -r, 0.0, h], [-h, 0.0, -r, h]])
+        energies = np.array([-2.0, 0.0, 0.0, 2.0])
+        H = build_hamiltonian(ModelParams(N=4, Delta=0.0))
+        assert np.max(np.abs(H @ states - states * energies)) <= 1e-15
+        dec = EigenDecomposition(energies=energies, states=states)
+        assert np.array_equal(collective_weights(dec), [0.0, 0.0, 0.0, 4.0])
+        sigma = -0.3 - 0.1j
+        E = np.array([-2.0, 0.0, 2.0, 0.7 - 0.2j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_abs, phase = spectrum._secular_scaled(dec, E.astype(complex), sigma)
+        assert list(log_abs[:2]) == [-np.inf, -np.inf]
+        assert list(phase[:2]) == [1.0, 1.0]
+        for i in (2, 3):
+            dense = complex(np.linalg.det(H + sigma - E[i] * np.eye(4)))
+            assert cmath.exp(log_abs[i]) * phase[i] == pytest.approx(dense, rel=1e-13)
+
     def test_conjugate_symmetry_decoupled(self, model):
         # Real symmetric matrix: det(conj E) = conj(det E) exactly.
         E = 2.9 - 0.05j
@@ -317,7 +368,7 @@ class TestCollectiveChannel:
         # Dual route: g(E) inside the secular determinant vs a direct solve
         # of (H - E) x = 1.
         E = 3.5 - 0.1j
-        H = build_hamiltonian(model).matrix.astype(complex)
+        H = build_hamiltonian(model).astype(complex)
         x = np.linalg.solve(H - E * np.eye(model.N), np.ones(model.N))
         assert _secular_resolvent(model, bath, eig, E) == pytest.approx(
             complex(x.sum()), rel=1e-10)
@@ -583,6 +634,36 @@ class TestFindPoles:
         for p, q in zip(found, expected):
             assert abs(p.energy - q.energy) <= 1e-12 * (1.0 + abs(q.energy))
             assert abs(p.overlap - q.overlap) <= 1e-12
+
+    @pytest.mark.parametrize("case", [
+        *[(key, SigmaMode.AUTO) for key in sorted(REFERENCE_POLES)],
+        *[(key, SigmaMode.REAL_AXIS)
+          for key in ((0.0, 1.0, 0.1), (0.5, 0.5, 0.1), (0.5, 1.0, 0.1))],
+    ], ids=lambda c: "a{:g}-Delta{:g}-eta{:g}-{}".format(*c[0], c[1].value))
+    def test_seeds_are_the_resummed_estimate(self, case):
+        # One fixed-Sigma Newton step of the secular function from a level is
+        # the resummed first-order estimate, up to the order of the sum over
+        # the other levels.  The scale is POLE_TOL's, 1 + |E|: against |E|
+        # alone seeds near 0.2-0.3 differ by up to 1.5e-15.
+        (a, delta, eta), sigma_mode = case
+        model = ModelParams(a=a, Delta=delta)
+        bath = BathParams(eta=eta)
+        region = default_search_region(model)
+        seeds = perturbative_pole_seeds(model, bath, region, HALF, sigma_mode)
+        expected = _resummed_seeds(model, bath, region, HALF, sigma_mode)
+        assert len(seeds) == len(expected) >= 2
+        for seed, ref in zip(seeds, expected):
+            assert abs(seed - ref) <= 1e-15 * (1.0 + abs(ref))
+
+    def test_continued_mode_off_ohmic_is_refused_up_front(self, model, monkeypatch):
+        # The mode is checked once, not swallowed seed by seed.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a seed was refined")
+
+        monkeypatch.setattr(spectrum, "refine_pole", refuse)
+        with pytest.raises(ParameterError, match="continued self-energy requires s = 1"):
+            find_poles(model, BathParams(s=0.5), default_search_region(model),
+                       HALF, SigmaMode.CONTINUED)
 
     def test_never_scans(self, model, bath, monkeypatch):
         def refuse(*args, **kwargs):

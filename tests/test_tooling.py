@@ -9,7 +9,8 @@ removed option fails here rather than as benchmark failures.  The far
 history of ``evolve`` must stay block-sized, so that a long trajectory, the
 benchmark's largest op, keeps its cost; its CSV must be formatted in
 chunks, so that it keeps its memory; an Ohmic pole search must run no
-self-energy quadrature, so that the pole ops keep their cost; the oracle
+self-energy quadrature, and its Newton slope no exponential integral, so
+that the pole ops keep their cost; the oracle
 must never form the (N + M)-square full Hamiltonian, so that the oracle op
 keeps its cost.  The names the ``gaah`` package exports are pinned, so that
 adding or removing one is a visible diff here.
@@ -200,6 +201,28 @@ def test_ohmic_pole_search_runs_no_quadrature(monkeypatch):
         assert len(poles) >= 2
 
 
+def test_ohmic_self_energy_slope_costs_no_exponential_integral(monkeypatch):
+    # The Newton's slope comes from the Sigma it already holds, so the only
+    # exponential integrals of a refinement are those of Sigma itself.
+    counts = collections.Counter()
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+        monkeypatch.setattr(f"gaah.bath.{name}", wrapper)
+
+    from gaah import bath
+    counted("expi", bath.expi)
+    counted("self_energy_closed_form", bath.self_energy_closed_form)
+    model = ModelParams()
+    for mode in (SigmaMode.CONTINUED, SigmaMode.REAL_AXIS):
+        counts.clear()
+        pole = spectrum.refine_pole(model, BathParams(), 2.95 - 1e-5j, sigma_mode=mode)
+        assert pole.converged
+        assert counts["expi"] == counts["self_energy_closed_form"] > pole.iterations
+
+
 def test_oracle_never_forms_the_full_matrix(monkeypatch):
     # The dense route diagonalized the (N + M)-square H_full, 2 * 2007^2 * 8 B
     # = 64 MB for the matrix and its eigenvectors at N = 7, M = 2000.
@@ -230,20 +253,19 @@ def test_oracle_never_forms_the_full_matrix(monkeypatch):
 
 PUBLIC_NAMES = [
     "BathParams", "ConfigError", "DeterminantGrid", "DiscreteBath",
-    "EigenDecomposition", "GOLDEN_MEAN_CONJUGATE", "GaahError", "Hamiltonian",
-    "ModelParams", "NumericsError", "OracleMismatchError", "ParameterError",
-    "PoleSearchRegion", "PrescriptionViolationError", "ResiduePrescription",
-    "ResonancePole", "RunConfig", "SigmaMode", "TimeGrid", "Trajectory",
-    "UnstableEvolutionError", "ValidationReport", "beat_envelope",
-    "build_hamiltonian", "char_determinant_scaled", "collective_weights",
-    "compare_trajectories", "convergence_check", "default_search_region",
-    "diagonalize", "discretize_bath", "dominant_period", "evolve", "evolve_full",
-    "find_poles", "highest_excited_state", "ipr", "memory_kernel",
+    "EigenDecomposition", "GOLDEN_MEAN_CONJUGATE", "GaahError", "ModelParams",
+    "NumericsError", "OracleMismatchError", "ParameterError", "PoleSearchRegion",
+    "PrescriptionViolationError", "ResiduePrescription", "ResonancePole",
+    "RunConfig", "SigmaMode", "TimeGrid", "Trajectory", "UnstableEvolutionError",
+    "ValidationReport", "beat_envelope", "build_hamiltonian",
+    "char_determinant_scaled", "collective_weights", "compare_trajectories",
+    "default_search_region", "diagonalize", "discretize_bath", "dominant_period",
+    "evolve", "evolve_full", "find_poles", "highest_excited_state", "ipr",
     "mobility_edge", "observables", "parse_config", "position_variance",
     "refine_pole", "scan_grid", "self_consistent_pole", "self_energy",
     "self_energy_closed_form", "self_energy_eval", "serialize_values",
     "spectral_density", "state_ipr", "state_overlap", "survival_probability",
-    "transition_frequency", "validate_against_oracle",
+    "validate_against_oracle",
 ]
 
 
