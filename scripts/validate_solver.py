@@ -20,12 +20,12 @@ Expected output (timings vary with the machine):
 
     mode-count sweep (dt = 0.002, t <= 30):
       M = 500   max |dSP| = 2.594e-04  (recurrence 39.3, 0.1 s)
-      M = 1000  max |dSP| = 8.808e-05  (recurrence 78.5, 0.1 s)
-      M = 2000  max |dSP| = 5.102e-05  (recurrence 157.1, 0.3 s)
+      M = 1000  max |dSP| = 8.808e-05  (recurrence 78.5, 0.2 s)
+      M = 2000  max |dSP| = 5.102e-05  (recurrence 157.1, 0.2 s)
     step-size sweep (M = 2000, t <= 30):
-      dt = 0.008  max |dSP| = 6.316e-04  (0.2 s)
+      dt = 0.008  max |dSP| = 6.316e-04  (0.1 s)
       dt = 0.004  max |dSP| = 1.671e-04  (0.2 s)  ratio vs previous = 3.78
-      dt = 0.002  max |dSP| = 5.102e-05  (0.3 s)  ratio vs previous = 3.28
+      dt = 0.002  max |dSP| = 5.102e-05  (0.2 s)  ratio vs previous = 3.28
 """
 
 from __future__ import annotations

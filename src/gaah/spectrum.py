@@ -84,17 +84,30 @@ def _decomposition(model: ModelParams,
     return dec if dec is not None else diagonalize(build_hamiltonian(model))
 
 
-def _deflated_secular(lam: np.ndarray, w: np.ndarray, E, sigma, k):
-    """h = (lambda_k - E) F(E) = (lambda_k - E)(1 + Sigma r) + Sigma w_k with
-    r = sum_{m != k} w_m / (lambda_m - E), and its partials dh/dE at fixed
-    Sigma and dh/dSigma.  E and k are scalars or 1-d arrays of one length,
-    Sigma a scalar or per point."""
+def _level_terms(lam: np.ndarray, w: np.ndarray, E, k):
+    """lambda_k - E, the differences lambda - E with 1 in place of it, and
+    q = w / (lambda - E) with 0 in place of q_k."""
     d = lam - np.asarray(E)[..., None]
     own = k if np.ndim(E) == 0 else (np.arange(len(E)), k)
     d_k = d[own]
     d[own] = 1.0
     q = w / d
     q[own] = 0.0
+    return d_k, d, q
+
+
+def _deflated_h(lam: np.ndarray, w: np.ndarray, E, sigma, k):
+    """h = (lambda_k - E) F(E) = (lambda_k - E)(1 + Sigma r) + Sigma w_k with
+    r = sum_{m != k} w_m / (lambda_m - E).  E and k are scalars or 1-d
+    arrays of one length, Sigma a scalar or per point."""
+    d_k, _, q = _level_terms(lam, w, E, k)
+    return d_k * (1.0 + sigma * q.sum(axis=-1)) + sigma * w[k]
+
+
+def _deflated_secular(lam: np.ndarray, w: np.ndarray, E, sigma, k):
+    """h as :func:`_deflated_h` gives it, and its partials dh/dE at fixed
+    Sigma and dh/dSigma."""
+    d_k, d, q = _level_terms(lam, w, E, k)
     r = q.sum(axis=-1)
     h = d_k * (1.0 + sigma * r) + sigma * w[k]
     return h, d_k * sigma * (q / d).sum(axis=-1) - 1.0 - sigma * r, d_k * r + w[k]
@@ -114,8 +127,8 @@ def _secular_scaled(dec: EigenDecomposition, energy: np.ndarray,
     k = np.abs(lam - energy.real[:, None]).argmin(axis=1)
     z = lam - energy[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        z[np.arange(len(energy)), k] = _deflated_secular(
-            lam, collective_weights(dec), energy, sigma, k)[0]
+        z[np.arange(len(energy)), k] = _deflated_h(
+            lam, collective_weights(dec), energy, sigma, k)
     mags = np.abs(z)
     zero = (mags == 0.0).any(axis=1)
     mags[zero] = 1.0
@@ -348,7 +361,7 @@ def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
         for _ in range(6):
             E_next = E + lam_bt * step
             sigma = self_energy_eval(bath, E_next, prescription, mode)
-            resid = abs(_deflated_secular(lam, w, E_next, sigma, k)[0])
+            resid = abs(_deflated_h(lam, w, E_next, sigma, k))
             if resid <= abs(h) or lam_bt < 0.05:
                 break
             lam_bt *= 0.5

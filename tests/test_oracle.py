@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -193,8 +194,7 @@ class TestArrowheadEig:
 
     def test_random_arrowheads(self):
         # Equal and nearly equal poles, zero and tiny couplings, and weak
-        # couplings that leave a root far from both of its poles.  With the
-        # identity as rows, V holds the whole eigenvectors.
+        # couplings that leave a root far from both of its poles.
         rng = np.random.default_rng(20261018)
         for _ in range(500):
             n = int(rng.integers(1, 40))
@@ -208,14 +208,33 @@ class TestArrowheadEig:
             kind = rng.random(n)
             arrow[kind < 0.15] = 0.0
             arrow[(kind > 0.15) & (kind < 0.3)] *= 10.0 ** rng.uniform(-16, -8)
-            head = 5.0 * rng.normal()
-            A = _arrowhead_matrix(head, diag, arrow)
-            identity = np.eye(n + 1)
-            evals, V = arrowhead_eig(head, diag, arrow, identity[:, 0], identity[:, 1:])
-            scale = np.linalg.norm(A, 2)
-            assert np.max(np.abs(evals - np.linalg.eigvalsh(A))) <= 1e-13 * scale
-            assert np.max(np.abs(A @ V - V * evals)) <= 1e-13 * scale
-            assert np.max(np.abs(V.T @ V - identity)) <= 1e-12
+            _check_whole_eigenvectors(5.0 * rng.normal(), diag, arrow)
+
+    @pytest.mark.parametrize("spectrum", ["outliers_below_band", "cluster",
+                                          "tiny_couplings"])
+    def test_irregular_large_arrowheads(self, spectrum):
+        # Spectra large enough that most blocks of roots take the far field,
+        # and uneven enough that poles near a block in energy are far from
+        # it in index: near windows chosen by index read residuals up to
+        # 6e-6 and orthogonality up to 6e-3 here.
+        rng = np.random.default_rng(20261019)
+        for _ in range(2):
+            if spectrum == "outliers_below_band":
+                diag = np.concatenate([-10.0 ** rng.uniform(1, 3, 40),
+                                       rng.uniform(0.0, 10.0, 700)])
+                arrow = 0.1 * rng.normal(size=diag.size)
+            elif spectrum == "cluster":
+                # 50 poles within 1e-6 among 400 spread over [-50, 50].
+                diag = np.concatenate([rng.uniform(-50.0, 50.0, 400),
+                                       3.0 + 1e-6 * rng.random(50)])
+                arrow = rng.normal(size=diag.size)
+            else:
+                diag = np.concatenate([20.0 * rng.normal(size=300),
+                                       rng.uniform(0.0, 5.0, 500)])
+                arrow = rng.normal(size=diag.size) * 10.0 ** rng.uniform(-16, 0, diag.size)
+                arrow[rng.random(diag.size) < 0.1] = 0.0
+            order = rng.permutation(diag.size)
+            _check_whole_eigenvectors(5.0 * rng.normal(), diag[order], arrow[order])
 
     def test_no_coupled_pole(self):
         evals, V = arrowhead_eig(0.5, np.array([1.0, 2.0]), np.zeros(2),
@@ -227,6 +246,74 @@ class TestArrowheadEig:
         monkeypatch.setattr(oracle, "_SECULAR_MAX_ITER", 1)
         with pytest.raises(NumericsError, match="secular equation"):
             arrowhead_eig(*_arrowhead_form(small_model, discretize_bath(bath, 50, 80.0)))
+
+
+def _check_whole_eigenvectors(head, diag, arrow):
+    """arrowhead_eig against np.linalg.eigvalsh of the dense matrix.  With
+    the identity as rows, V holds the whole eigenvectors."""
+    A = _arrowhead_matrix(head, diag, arrow)
+    identity = np.eye(diag.size + 1)
+    evals, V = arrowhead_eig(head, diag, arrow, identity[:, 0], identity[:, 1:])
+    scale = np.linalg.norm(A, 2)
+    assert np.max(np.abs(evals - np.linalg.eigvalsh(A))) <= 1e-13 * scale
+    assert np.max(np.abs(A @ V - V * evals)) <= 1e-13 * scale
+    assert np.max(np.abs(V.T @ V - identity)) <= 1e-12
+
+
+class TestFarField:
+    """The interpolated far sums, directly and through the whole solve
+    against the exact route, every pole near (the near margin made
+    infinite): the same eigenvalues, site rows and alpha(t) at N = 21."""
+
+    @pytest.mark.parametrize("modes, omega_max", [(2000, 80.0), (4000, 200.0)])
+    def test_matches_all_pole_sums(self, modes, omega_max, monkeypatch):
+        model = ModelParams(N=21)
+        args = _arrowhead_form(model, discretize_bath(BathParams(), modes, omega_max))
+        init = highest_excited_state(diagonalize(build_hamiltonian(model)))
+        grid = TimeGrid.from_t_max(0.01, 50.0)
+        evals, V_sys = arrowhead_eig(*args)
+        monkeypatch.setattr(oracle, "_NEAR_MARGIN", math.inf)
+        exact_evals, exact_V = arrowhead_eig(*args)
+        assert np.max(np.abs(evals - exact_evals)) <= 1e-15 * np.max(np.abs(exact_evals))
+        sign = np.where(np.sum(V_sys * exact_V, axis=0) < 0.0, -1.0, 1.0)
+        assert np.max(np.abs(V_sys * sign - exact_V)) <= 1e-13
+        alphas = _propagate(evals, V_sys, init, grid)
+        exact_alphas = _propagate(exact_evals, exact_V, init, grid)
+        assert np.max(np.abs(alphas - exact_alphas)) <= 1e-13
+
+    def test_interpolants_match_far_sums(self):
+        # A block spanning [d[200], d[263]] of 1000 uneven poles: the far
+        # sums between the nodes to 4e-15 relative, the rounding of both
+        # sides (the interpolation error is 4e-19), and on a node exactly
+        # its tabulated value.
+        rng = np.random.default_rng(5)
+        d = np.sort(np.concatenate([rng.uniform(0.0, 10.0, 900),
+                                    rng.uniform(-500.0, 500.0, 100)]))
+        u = rng.normal(size=d.size)
+        rows = rng.normal(size=(3, d.size))
+        rows[:, rng.random(d.size) < 0.5] = 0.0
+        a, b = d[200], d[263]
+        lo = int(np.searchsorted(d, a - (b - a)))
+        hi = int(np.searchsorted(d, b + (b - a), side="right"))
+        live = np.flatnonzero(np.any(rows != 0.0, axis=0))
+        far = oracle._FarField(d, u * u, live, rows[:, live] * u[live], lo, hi, a, b - a)
+        s = np.concatenate([np.sort(rng.uniform(0.0, b - a, 50)), far.nodes])
+        q = 1.0 / np.delete((d - a) - s[:, np.newaxis], np.s_[lo:hi], axis=1)
+        t = q * np.delete(u * u, np.s_[lo:hi])
+        f, below, above, mag = far.sums(s)
+        # f sums terms of both signs: its scale is the sum of their sizes.
+        assert np.max(np.abs(f - t.sum(axis=1)) / mag) <= 4e-15
+        assert np.max(np.abs(below - (t * q)[:, :lo].sum(axis=1)) / below) <= 4e-15
+        assert np.max(np.abs(above - (t * q)[:, lo:].sum(axis=1)) / above) <= 4e-15
+        assert np.max(np.abs(mag - np.abs(t).sum(axis=1)) / mag) <= 4e-15
+        terms = np.delete(rows, np.s_[lo:hi], axis=1)[:, np.newaxis, :] * (
+            q * np.delete(u, np.s_[lo:hi]))
+        row_sums, norm2 = far.vectors(s)
+        assert np.max(np.abs(row_sums - terms.sum(axis=2))
+                      / np.abs(terms).sum(axis=2)) <= 4e-15
+        assert np.max(np.abs(norm2 - below - above) / norm2) <= 4e-15
+        on_node = far._interpolation(far.nodes)
+        assert np.array_equal(on_node, np.eye(far.nodes.size))
 
 
 class TestEvolveFull:

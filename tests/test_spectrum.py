@@ -333,6 +333,21 @@ class TestDeterminant:
             dense = complex(np.linalg.det(H + sigma - E[i] * np.eye(4)))
             assert cmath.exp(log_abs[i]) * phase[i] == pytest.approx(dense, rel=1e-13)
 
+    def test_h_alone_has_the_kernel_bits(self, eig, bath):
+        # The scan and the Newton's backtracking take h without its
+        # partials; the determinant and the poles must not move a bit.
+        lam, w = eig.energies, collective_weights(eig)
+        E = np.linspace(lam[0] - 1.0, lam[-1] + 1.0, 301) - 0.03j
+        E[::60] = lam[::4]  # exactly on levels too
+        k = np.abs(lam - E.real[:, None]).argmin(axis=1)
+        sigma = self_energy_eval(bath, E, HALF, SigmaMode.REAL_AXIS)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            row = spectrum._deflated_h(lam, w, E, sigma, k)
+            assert np.array_equal(row, spectrum._deflated_secular(lam, w, E, sigma, k)[0])
+            for i in range(0, E.size, 25):
+                scalar = spectrum._deflated_h(lam, w, E[i], sigma[i], k[i])
+                assert scalar == spectrum._deflated_secular(lam, w, E[i], sigma[i], k[i])[0]
+
     def test_conjugate_symmetry_decoupled(self, model):
         # Real symmetric matrix: det(conj E) = conj(det E) exactly.
         E = 2.9 - 0.05j

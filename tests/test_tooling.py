@@ -11,9 +11,10 @@ benchmark's largest op, keeps its cost; its CSV must be formatted in
 chunks, so that it keeps its memory; an Ohmic pole search must run no
 self-energy quadrature, and its Newton slope no exponential integral, so
 that the pole ops keep their cost; the oracle
-must never form the (N + M)-square full Hamiltonian, so that the oracle op
-keeps its cost.  The names the ``gaah`` package exports are pinned, so that
-adding or removing one is a visible diff here.
+must never form the (N + M)-square full Hamiltonian, and its secular solve
+must sum each block of roots over the poles near it alone, so that the
+oracle op keeps its cost.  The names the ``gaah`` package exports are
+pinned, so that adding or removing one is a visible diff here.
 """
 
 from __future__ import annotations
@@ -249,6 +250,42 @@ def test_oracle_never_forms_the_full_matrix(monkeypatch):
         tracemalloc.stop()
     assert sizes and max(sizes) <= model.N
     assert peak < 24e6
+
+
+def test_oracle_secular_solve_sums_near_poles_only(monkeypatch):
+    # Each block of inner roots sums only the poles within the near margin
+    # of its span, and the others enter through interpolants.  Sums over
+    # all N + M poles gave the same roots at six to seven times the cost of
+    # the whole solve at N = 21, M = 8000, so only the widths of the
+    # iteration arrays can tell.
+    blocks, widths = [], []
+    solve_block, secular_terms = oracle._solve_block, oracle._secular_terms
+
+    def recorded_block(head, d, u2, k, *args):
+        blocks.append((d, k))
+        return solve_block(head, d, u2, k, *args)
+
+    def recorded_terms(head, d, *args):
+        widths.append((len(blocks) - 1, d.size))
+        return secular_terms(head, d, *args)
+
+    monkeypatch.setattr(oracle, "_solve_block", recorded_block)
+    monkeypatch.setattr(oracle, "_secular_terms", recorded_terms)
+    model = ModelParams(N=21)
+    evals, _ = oracle.arrowhead_eig(*oracle._arrowhead_form(
+        model, oracle.discretize_bath(BathParams(), 8000, 200.0)))
+    n = evals.size - 1
+    is_inner = [bool(np.all((k > 0) & (k < d.size))) for d, k in blocks]
+    inner = [block for block, flag in zip(blocks, is_inner) if flag]
+    # The outer roots, below and above every pole, keep them all near.
+    assert [k.tolist() for (_, k), flag in zip(blocks, is_inner) if not flag] == [[0, n]]
+    assert sum(k.size for _, k in inner) == n - 1
+    for d, k in inner:
+        a, b = d[k.min() - 1], d[k.max()]
+        margin = oracle._NEAR_MARGIN * (b - a)
+        assert a - margin <= d[0] and d[-1] <= b + margin
+        assert d.size < n // 10
+    assert all(width == blocks[i][0].size for i, width in widths)
 
 
 PUBLIC_NAMES = [
