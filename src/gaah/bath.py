@@ -12,6 +12,28 @@ Cauchy principal value plus a residue term -i*c*J(E).  The textbook
 half-residue limit gives c = pi; an alternative convention with c = pi/2 is
 kept selectable because published reference data for this system was fitted
 best by one of the two (see :class:`ResiduePrescription`).
+
+At s = 1 the integral has an exponential-integral closed form, which the
+pole search evaluates.  At every s the real-axis value Sigma(x + i0), the
+principal value plus the residue -i*pi*J(x), is also a rational sum, which
+:func:`self_energy` and so the pole search off s = 1 evaluate: turn the
+contour onto the ray w = omega_c e^{xi - i theta}, below the pole at
+x + i0 (complex scaling), and take the trapezoid rule in xi,
+
+    Sigma_K(x) = sum_j g_j^2 / (x - w_j),   g_j^2 = h w_j J(w_j),
+
+with J continued analytically (principal w^s).  At theta = pi/4 the
+integrand is analytic in a strip of half width pi/4 about the ray, bounded
+by the pole of 1/(x - w) on one side and by exp(-w/omega_c) turning to
+growth at arg w = -pi/2 on the other, so the step h = 0.07 errs by about
+exp(-2 pi (pi/4) / h) = 2e-31.  The ray spans xi in [-50/(s+1),
+ln(2(s+30))].  Below it lies the weight (r_min/omega_c)^(s+1) = e^-50 of
+eta omega_c^2, an error near eta omega_c^2 e^-50 / |x|, under 2e-15
+eta omega_c for |x| >= 1e-7 omega_c.  Above it lies the tail
+r^s e^{-r cos(theta)/omega_c}, negligible against Gamma(s+1) for s <= 4.
+That is 708 modes at s = 0.1 and 142 at s = 8; against a 30-digit
+reference, Sigma is then exact to 9e-16 of 1 + |Sigma| for 1e-6 <= |x| <=
+10 omega_c at 0.1 <= s <= 4, and to 1.1e-14 at s = 8.
 """
 
 from __future__ import annotations
@@ -22,19 +44,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import expi
 
-from .errors import NumericsError, ParameterError
-
-#: Upper integration limit of the level-shift integral, in units of omega_c.
-#: Beyond it the exponential tail is handled by a separate quadrature.
-CUTOFF_MULTIPLE = 40.0
+from .errors import ParameterError
 
 #: Guard range for self-energy evaluation, in units of omega_c.
 ENERGY_GUARD_MULTIPLE = 10.0
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
+#: Angle of the rotated ray w = omega_c e^{xi - i theta} and trapezoid step
+#: in xi of the rational self-energy; the ray's ends follow s (see
+#: ``_ray_modes`` and the module docstring for the error bounds).
+_RAY_ANGLE = 0.25 * math.pi
+_RAY_STEP = 0.07
 
 
 @dataclass(frozen=True)
@@ -80,13 +101,6 @@ def spectral_density(b: BathParams, omega):
     return out if out.ndim else float(out)
 
 
-def _spectral_density_slope(b: BathParams, omega: float) -> float:
-    """dJ/domega, used to desingularize the subtracted integrand."""
-    w = float(omega)
-    e = math.exp(-w / b.omega_c)
-    return b.eta * b.omega_c ** (1.0 - b.s) * e * (b.s * w ** (b.s - 1.0) - w ** b.s / b.omega_c)
-
-
 def check_kernel_cut(s: float, omega_max: float) -> None:
     """Refuse a kernel cut at ``omega_max`` that has no closed form: the
     cut is closed-form at s = 1 alone, and only at a positive frequency."""
@@ -96,54 +110,25 @@ def check_kernel_cut(s: float, omega_max: float) -> None:
         raise ParameterError(f"omega_max must be > 0, got {omega_max}")
 
 
-def _checked_quad(f, lo, hi, **kw):
-    out = quad(f, lo, hi, full_output=1, **kw)
-    val, abserr = out[0], out[1]
-    if len(out) > 3 and abserr > 1e-9:
-        raise NumericsError(
-            f"self-energy quadrature did not converge on [{lo}, {hi}]: "
-            f"{out[3]!s} (achieved error estimate {abserr:.3e})"
-        )
-    return val
+@lru_cache(maxsize=8)
+def _ray_modes(eta: float, omega_c: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes w_j = omega_c e^{xi_j - i theta} and weights g_j^2 = h w_j J(w_j)
+    of the rational self-energy, with xi_j spaced h over
+    [-50/(s+1), ln(2(s+30))]."""
+    lo, hi = -50.0 / (s + 1.0), math.log(2.0 * (s + 30.0))
+    z = lo + _RAY_STEP * np.arange(int((hi - lo) / _RAY_STEP) + 1) - 1j * _RAY_ANGLE
+    u = np.exp(z)
+    w, g2 = omega_c * u, _RAY_STEP * eta * omega_c ** 2 * np.exp((s + 1.0) * z - u)
+    w.flags.writeable = g2.flags.writeable = False  # shared by every caller
+    return w, g2
 
 
 @lru_cache(maxsize=16384)
 def _dispersive_part(eta: float, omega_c: float, s: float, x: float) -> float:
-    """Real (principal-value) part of int_0^inf J(w)/(x - w) dw at real x.
-
-    For x > 0 the singularity is subtracted:
-
-        P int_0^W J/(x-w) = int_0^W [J(w)-J(x)]/(x-w) + J(x) * ln(x/(W-x)),
-
-    with W = 40*omega_c; the first integrand is smooth (removable singularity
-    with value -J'(x)) and the exponentially small tail beyond W is added by a
-    separate quadrature.
-    """
-    b = BathParams(eta=eta, omega_c=omega_c, s=s)
-    W = CUTOFF_MULTIPLE * omega_c
-    if x <= 0.0:
-        main = _checked_quad(lambda w: spectral_density(b, w) / (x - w),
-                             0.0, W, points=[omega_c], **_QUAD_OPTS)
-    else:
-        jx = spectral_density(b, x)
-        slope = _spectral_density_slope(b, x)
-        # The stencil must stay at w > 0, where w**(s-1) is real for any s.
-        h = min(1e-5 * (1.0 + x), 0.5 * x)
-        curv = (_spectral_density_slope(b, x + h) - _spectral_density_slope(b, x - h)) / (2.0 * h)
-
-        def subtracted(w):
-            d = x - w
-            if abs(d) < 1e-7 * (1.0 + x):
-                # Taylor of [J(x-d) - J(x)]/d to dodge cancellation at the node.
-                return -slope + 0.5 * d * curv
-            return (spectral_density(b, w) - jx) / d
-
-        pts = sorted({min(max(x, 1e-12), W - 1e-12), omega_c})
-        main = _checked_quad(subtracted, 0.0, W, points=pts, **_QUAD_OPTS)
-        main += jx * math.log(x / (W - x))
-    tail = _checked_quad(lambda w: spectral_density(b, w) / (x - w),
-                         W, math.inf, **_QUAD_OPTS)
-    return main + tail
+    """Real (principal-value) part of int_0^inf J(w)/(x - w) dw at real x:
+    the real part of the rational sum Sigma_K(x)."""
+    w, g2 = _ray_modes(eta, omega_c, s)
+    return float(np.sum(g2 / (x - w)).real)
 
 
 def self_energy(b: BathParams, E: complex,
@@ -176,7 +161,7 @@ def self_energy_closed_form(b: BathParams, E,
 
         eta * (E * exp(-E/omega_c) * Ei(E/omega_c) - omega_c),
 
-    which serves as an independent check of the subtraction quadrature.  At
+    which serves as an independent check of the rational sum.  At
     complex E the same expression, with the residue term built from the
     analytically continued spectral density eta * E * exp(-E/omega_c), is
     the continued self-energy of ``SigmaMode.CONTINUED``.  Accepts scalar or
@@ -208,8 +193,8 @@ class SigmaMode(enum.Enum):
 
     REAL_AXIS pins the integral to x = Re(E); valid for any s, exact for
     narrow resonances, and the only choice for Re(E) <= 0.  At s = 1 it is
-    the closed form at x, which equals the quadrature of
-    :func:`self_energy` to rounding; other s take the quadrature.  CONTINUED
+    the closed form at x, which equals the rational sum of
+    :func:`self_energy` to rounding; other s take the rational sum.  CONTINUED
     evaluates the s = 1 closed form at complex E, which stays faithful for
     broad resonances as well; it requires Re(E) > 0 (the exponential
     integral's branch cut sits on the negative real axis).  AUTO picks
@@ -260,14 +245,19 @@ def _self_energy_slope(b: BathParams, E: complex, sigma: complex,
 
     from d/du Ei(u) = e^u / u, with z = E when continued and z = Re E on
     the real axis; it is nan at z = 0, where the slope diverges.  Other s
-    take a central difference of the quadrature.  The caller has evaluated
-    Sigma(E), so its guards hold."""
+    take the slope of the rational sum, Sigma_K'(x) = -sum_j g_j^2 /
+    (x - w_j)^2, whose imaginary part -pi J'(x) at x > 0 is scaled to the
+    residue factor c.  The caller has evaluated Sigma(E), so its guards
+    hold."""
     z = complex(E) if mode.resolve(b) is SigmaMode.CONTINUED else complex(E.real)
     if b.eta == 0.0:
         return 0j
     if b.s != 1.0:
-        dx = 1e-7 * (1.0 + abs(z))
-        return (self_energy(b, z + dx, p) - self_energy(b, z - dx, p)) / (2.0 * dx)
+        w, g2 = _ray_modes(b.eta, b.omega_c, b.s)
+        d = z.real - w
+        slope = -np.sum(g2 / (d * d))
+        return complex(slope.real,
+                       p.residue_factor / math.pi * slope.imag * (z.real > 0.0))
     if z == 0.0:
         return complex(math.nan, math.nan)
     return (sigma + b.eta * b.omega_c) * (1.0 - z / b.omega_c) / z + b.eta

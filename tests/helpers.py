@@ -1,9 +1,11 @@
 """Test-side closed forms and self-checks that the package does not ship.
 
 The integrator takes the memory kernel through its closed-form product
-moments and the pole search reports poles, not beat frequencies; these
-helpers give the tests the kernel itself, a dt-halving check and the beat
-frequency between two poles.
+moments, the self-energy is a rational sum over rotated-ray modes, and the
+pole search reports poles, not beat frequencies; these helpers give the
+tests the kernel itself, the subtracted principal-value quadrature of the
+dispersive self-energy, a dt-halving check and the beat frequency between
+two poles.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import gamma
 
-from gaah.bath import BathParams, check_kernel_cut
+from gaah.bath import BathParams, check_kernel_cut, spectral_density
 from gaah.dynamics import TimeGrid, evolve
-from gaah.errors import ParameterError
+from gaah.errors import NumericsError, ParameterError
 from gaah.model import ModelParams
 from gaah.spectrum import ResonancePole
 
@@ -48,6 +51,71 @@ def memory_kernel(b: BathParams, t, omega_max: float = math.inf):
         zw = z * omega_max
         out = b.eta * (1.0 - np.exp(-zw) * (1.0 + zw)) / z ** 2
     return out if out.ndim else complex(out)
+
+
+#: Upper integration limit of the level-shift integral, in units of omega_c.
+#: Beyond it the exponential tail is handled by a separate quadrature.
+CUTOFF_MULTIPLE = 40.0
+
+_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
+
+
+def _spectral_density_slope(b: BathParams, omega: float) -> float:
+    """dJ/domega, used to desingularize the subtracted integrand."""
+    w = float(omega)
+    e = math.exp(-w / b.omega_c)
+    return b.eta * b.omega_c ** (1.0 - b.s) * e * (b.s * w ** (b.s - 1.0) - w ** b.s / b.omega_c)
+
+
+def _checked_quad(f, lo, hi, **kw):
+    out = quad(f, lo, hi, full_output=1, **kw)
+    val, abserr = out[0], out[1]
+    if len(out) > 3 and abserr > 1e-9:
+        raise NumericsError(
+            f"self-energy quadrature did not converge on [{lo}, {hi}]: "
+            f"{out[3]!s} (achieved error estimate {abserr:.3e})"
+        )
+    return val
+
+
+def dispersive_part_by_quadrature(eta: float, omega_c: float, s: float, x: float) -> float:
+    """Real (principal-value) part of int_0^inf J(w)/(x - w) dw at real x,
+    by adaptive quadrature on the real axis, an oracle that shares no node
+    with the package's rational sum.  Its own error grows below |x| = 1e-3.
+
+    For x > 0 the singularity is subtracted:
+
+        P int_0^W J/(x-w) = int_0^W [J(w)-J(x)]/(x-w) + J(x) * ln(x/(W-x)),
+
+    with W = 40*omega_c; the first integrand is smooth (removable singularity
+    with value -J'(x)) and the exponentially small tail beyond W is added by a
+    separate quadrature.
+    """
+    b = BathParams(eta=eta, omega_c=omega_c, s=s)
+    W = CUTOFF_MULTIPLE * omega_c
+    if x <= 0.0:
+        main = _checked_quad(lambda w: spectral_density(b, w) / (x - w),
+                             0.0, W, points=[omega_c], **_QUAD_OPTS)
+    else:
+        jx = spectral_density(b, x)
+        slope = _spectral_density_slope(b, x)
+        # The stencil must stay at w > 0, where w**(s-1) is real for any s.
+        h = min(1e-5 * (1.0 + x), 0.5 * x)
+        curv = (_spectral_density_slope(b, x + h) - _spectral_density_slope(b, x - h)) / (2.0 * h)
+
+        def subtracted(w):
+            d = x - w
+            if abs(d) < 1e-7 * (1.0 + x):
+                # Taylor of [J(x-d) - J(x)]/d to dodge cancellation at the node.
+                return -slope + 0.5 * d * curv
+            return (spectral_density(b, w) - jx) / d
+
+        pts = sorted({min(max(x, 1e-12), W - 1e-12), omega_c})
+        main = _checked_quad(subtracted, 0.0, W, points=pts, **_QUAD_OPTS)
+        main += jx * math.log(x / (W - x))
+    tail = _checked_quad(lambda w: spectral_density(b, w) / (x - w),
+                         W, math.inf, **_QUAD_OPTS)
+    return main + tail
 
 
 @dataclass(frozen=True)

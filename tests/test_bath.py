@@ -1,8 +1,9 @@
 """Spectral density, memory kernel, and self-energy.
 
-The kernel and self-energy each have two independent evaluation routes
-(closed form vs direct quadrature); the tests here pin them against each
-other rather than against copied constants wherever possible.
+The kernel and self-energy each have independent evaluation routes
+(closed form vs direct quadrature or the rotated-ray rational sum); the
+tests here pin them against each other rather than against copied
+constants wherever possible.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import exp1, expi
+from scipy.special import exp1, expi, gamma, hyperu
 
 from gaah.bath import (
     BathParams,
@@ -32,7 +33,7 @@ from gaah.bath import (
 from gaah.dynamics import _product_tables
 from gaah.errors import ParameterError
 
-from helpers import memory_kernel
+from helpers import dispersive_part_by_quadrature, memory_kernel
 
 HALF = ResiduePrescription.HALF
 FULL = ResiduePrescription.FULL
@@ -275,8 +276,8 @@ class TestSelfEnergy:
 
     @pytest.mark.parametrize("s", [0.5, 1.5])
     def test_dispersive_part_at_clipped_window_edge(self, s):
-        # The default pole window starts at Re E = 1e-6; the curvature
-        # stencil there must not reach w < 0, where w**(s-1) is complex.
+        # The default pole window starts at Re E = 1e-6, where the rational
+        # sum's nodes nearest x lie at |w| ~ x and the value must stay real.
         value = _dispersive_part(0.1, 10.0, s, 1e-6)
         assert isinstance(value, float)
         assert math.isfinite(value)
@@ -378,7 +379,7 @@ class TestSelfEnergy:
 
     @pytest.mark.parametrize("x", [-5.0, 0.5, 2.9522, 30.0])
     def test_quadrature_slope_super_ohmic(self, x):
-        # Off s = 1 the slope is a central difference of the quadrature; at
+        # Off s = 1 the slope is that of the rational sum; at
         # s = 2 it has the exact form (eta/omega_c) (e^{-u} Ei(u) (2x - x^2/omega_c)
         # + x - omega_c) - i c J'(x), with J' = (eta/omega_c) e^{-u} (2x - x^2/omega_c).
         b = BathParams(s=2.0)
@@ -405,6 +406,58 @@ class TestSelfEnergy:
         above = self_energy(bath, 1e-4, HALF)
         assert above.real == pytest.approx(below.real, abs=1e-3)
 
+
+
+class TestRationalSelfEnergy:
+    """The rotated-ray sum against routes that share none of its nodes."""
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 1.5, 4.0])
+    def test_exponent_recurrence(self, s):
+        # w^(s+1) = w^s (x - (x - w)) splits Sigma_{s+1} into (x/omega_c)
+        # Sigma_s minus the weight eta omega_c Gamma(s+1), residue terms
+        # included; the two sides run on differently spanned rays.
+        eta, omega_c = 0.1, 10.0
+        lower = BathParams(eta=eta, omega_c=omega_c, s=s)
+        upper = BathParams(eta=eta, omega_c=omega_c, s=s + 1.0)
+        for a in (95.0, 5.0, 0.5, 1e-3, 1e-6):
+            for x in (a, -a):
+                value = self_energy(upper, x, FULL)
+                expected = (x / omega_c * self_energy(lower, x, FULL)
+                            - eta * omega_c * gamma(s + 1.0))
+                assert abs(value - expected) <= 1e-13 * (1.0 + abs(value))
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.5, 2.0])
+    def test_negative_axis_confluent_form(self, s):
+        # At x < 0, Sigma = -eta omega_c Gamma(s+1) y^s U(s+1, s+1, y) with
+        # y = -x/omega_c.  Beyond x = -30 scipy's hyperu itself drifts.
+        b = BathParams(s=s)
+        for x in -np.logspace(-6, math.log10(30.0), 25):
+            y = -x / b.omega_c
+            expected = -b.eta * b.omega_c * gamma(s + 1.0) * y ** s * hyperu(s + 1.0, s + 1.0, y)
+            assert abs(self_energy(b, x, FULL) - expected) <= 1e-12 * (1.0 + abs(expected))
+
+    @pytest.mark.parametrize("s", [0.5, 0.75, 1.5, 2.0])
+    def test_matches_subtracted_quadrature(self, s):
+        # Below |x| = 1e-3 the quadrature, not the sum, is the inaccurate side.
+        for a in np.logspace(-3, math.log10(99.0), 12):
+            for x in (float(a), -float(a)):
+                expected = dispersive_part_by_quadrature(0.1, 10.0, s, x)
+                value = _dispersive_part(0.1, 10.0, s, x)
+                assert abs(value - expected) <= 1e-13 * (1.0 + abs(expected))
+
+    @pytest.mark.parametrize("p", [HALF, FULL])
+    @pytest.mark.parametrize("s", [0.5, 1.5])
+    def test_slope_vs_central_difference(self, s, p):
+        # The analytic slope of the sum, with its imaginary part scaled to
+        # the prescription, is the difference quotient of self_energy.
+        b = BathParams(s=s)
+        for x in (-95.0, -30.0, -5.0, -0.5, -0.05, 0.05, 0.5, 2.9522, 6.0, 30.0, 95.0):
+            step = 1e-5 * (1.0 + abs(x))
+            quotient = (self_energy(b, x + step, p) - self_energy(b, x - step, p)) / (2.0 * step)
+            slope = slope_at(b, x - 0.1j, p, SigmaMode.REAL_AXIS)
+            assert abs(slope - quotient) <= 1e-8 * (1.0 + abs(slope))
+            if x < 0.0:
+                assert slope.imag == 0.0
 
 class TestSigmaMode:
     def test_auto_resolution(self):

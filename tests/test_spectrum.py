@@ -44,6 +44,28 @@ HALF = ResiduePrescription.HALF
 POLE_1 = 2.952238 - 5.062298e-6j
 POLE_2 = 2.882305 - 5.312399e-5j
 
+# The top two default-lattice poles off s = 1 (a = 0, Delta = 2.5,
+# eta = 0.1, default window), by (s, prescription), as the subtracted
+# principal-value quadrature found them; every search holds 10 poles.
+NON_OHMIC_POLES = {
+    (0.5, "half"): (2.9522361931450054 - 9.589058480115723e-06j,
+                    2.882283568599994 - 0.00010028469655943408j),
+    (0.5, "full"): (2.9522293856884656 - 9.66673433544008e-06j,
+                    2.882211922766392 - 0.00010246524270825615j),
+    (0.75, "half"): (2.9522375498249707 - 6.954985702668479e-06j,
+                     2.8822981655415463 - 7.288416207670866e-05j),
+    (0.75, "full"): (2.952232350630786 - 9.11505568676449e-06j,
+                     2.8822437741139093 - 9.654493626791288e-05j),
+    (1.5, "half"): (2.952238140298099 - 2.5459331808551566e-06j,
+                    2.8823055437828002 - 2.668135704692418e-05j),
+    (1.5, "full"): (2.9522370180762527 - 4.727282426533054e-06j,
+                    2.8822940220683466 - 4.9712722627360796e-05j),
+    (2.0, "half"): (2.952236495432182 - 1.0861873960385661e-06j,
+                    2.882288158025486 - 1.130109788612918e-05j),
+    (2.0, "full"): (2.952236249038135 - 2.134219130102696e-06j,
+                    2.8822856773652314 - 2.223102657002407e-05j),
+}
+
 DECOUPLED = BathParams(eta=0.0)
 
 
@@ -669,6 +691,16 @@ class TestFindPoles:
         assert len(seeds) == len(expected) >= 2
         for seed, ref in zip(seeds, expected):
             assert abs(seed - ref) <= 1e-15 * (1.0 + abs(ref))
+
+    @pytest.mark.parametrize("key", sorted(NON_OHMIC_POLES), ids="s{0[0]:g}-{0[1]}".format)
+    def test_non_ohmic_poles_are_pinned(self, model, key):
+        s, prescription = key
+        found = find_poles(model, BathParams(s=s), default_search_region(model),
+                           ResiduePrescription(prescription))
+        assert len(found) == 10
+        for pole, expected in zip(found, NON_OHMIC_POLES[key]):
+            assert abs(pole.energy.real - expected.real) <= 1e-12
+            assert abs(pole.energy.imag - expected.imag) <= 1e-11 * abs(expected.imag)
 
     def test_continued_mode_off_ohmic_is_refused_up_front(self, model, monkeypatch):
         # The mode is checked once, not swallowed seed by seed.

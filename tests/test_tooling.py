@@ -8,9 +8,10 @@ workloads (``perfbench/workloads.py``) run must keep parsing, so that a
 removed option fails here rather than as benchmark failures.  The far
 history of ``evolve`` must stay block-sized, so that a long trajectory, the
 benchmark's largest op, keeps its cost; its CSV must be formatted in
-chunks, so that it keeps its memory; an Ohmic pole search must run no
-self-energy quadrature, and its Newton slope no exponential integral, so
-that the pole ops keep their cost; the oracle
+chunks, so that it keeps its memory; an Ohmic pole search must evaluate
+no dispersive integral, and its Newton slope no exponential integral, and a
+non-Ohmic one must run no quadrature and build its table of bath modes
+once, so that the pole ops keep their cost; the oracle
 must never form the (N + M)-square full Hamiltonian, and its secular solve
 must sum each block of roots over the poles near it alone, so that the
 oracle op keeps its cost.  The names the ``gaah`` package exports are
@@ -29,6 +30,7 @@ import types
 
 import numpy as np
 import scipy.fft
+import scipy.integrate
 import scipy.linalg
 
 import gaah
@@ -189,10 +191,11 @@ def test_oracle_propagation_stays_block_sized():
 
 def test_ohmic_pole_search_runs_no_quadrature(monkeypatch):
     # At s = 1 both self-energy modes have a closed form and a closed-form
-    # slope; one adaptive quadrature per Newton point made a real-axis search
-    # take over a second while every pole stayed the same.
+    # slope, so the search never evaluates the dispersive integral; when that
+    # was an adaptive quadrature per Newton point, a real-axis search took
+    # over a second while every pole stayed the same.
     def refuse(*args):
-        raise AssertionError("the s = 1 pole search ran the self-energy quadrature")
+        raise AssertionError("the s = 1 pole search evaluated the dispersive integral")
 
     monkeypatch.setattr("gaah.bath._dispersive_part", refuse)
     model = ModelParams()
@@ -200,6 +203,29 @@ def test_ohmic_pole_search_runs_no_quadrature(monkeypatch):
     for mode in (SigmaMode.CONTINUED, SigmaMode.REAL_AXIS):
         poles = spectrum.find_poles(model, BathParams(), region, sigma_mode=mode)
         assert len(poles) >= 2
+
+
+def test_non_ohmic_pole_search_runs_no_quadrature(monkeypatch):
+    # Off s = 1 the real-axis self-energy and its slope are sums over one
+    # table of rotated-ray bath modes.  An adaptive principal-value
+    # quadrature per Newton point, and two more for a central-difference
+    # slope, made this search take 0.5-3 s while every pole stayed the same.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the s = 0.75 pole search ran a scipy.integrate routine")
+
+    for name in dir(scipy.integrate):
+        if not name.startswith("_") and callable(getattr(scipy.integrate, name)):
+            monkeypatch.setattr(scipy.integrate, name, refuse)
+    # A routine imported by name would escape the patch above.
+    for module in (gaah.bath, spectrum):
+        assert not [value for value in vars(module).values()
+                    if getattr(value, "__module__", "").startswith("scipy.integrate")]
+    gaah.bath._ray_modes.cache_clear()
+    gaah.bath._dispersive_part.cache_clear()
+    model = ModelParams()
+    poles = spectrum.find_poles(model, BathParams(s=0.75), spectrum.default_search_region(model))
+    assert len(poles) >= 2
+    assert gaah.bath._ray_modes.cache_info().misses == 1
 
 
 def test_ohmic_self_energy_slope_costs_no_exponential_integral(monkeypatch):
