@@ -366,9 +366,8 @@ def evolve(model: ModelParams, bath: BathParams, init: np.ndarray, grid: TimeGri
 
     S = np.zeros(steps + 1, dtype=complex)
     S[0] = alpha.sum()
-    series = {name: np.empty(steps + 1) for name in ("sp", "ipr", "norm", "variance")}
-    for name, value in observables(alpha[np.newaxis], alpha).items():
-        series[name][0] = value[0]
+    series = {name: np.concatenate([value, np.empty(steps)])
+              for name, value in observables(alpha[np.newaxis], alpha).items()}
 
     for a in range(1, steps + 1, block):
         b = min(a + block, steps + 1)
@@ -405,15 +404,8 @@ def evolve(model: ModelParams, bath: BathParams, init: np.ndarray, grid: TimeGri
         for name, value in values.items():
             series[name][a:b] = value
 
-    return Trajectory(
-        grid=grid,
-        sp=series["sp"],
-        ipr=series["ipr"],
-        norm=series["norm"],
-        variance=series["variance"],
-        collective=S,
-        params=_run_metadata(model, bath, grid, kernel_omega_max),
-    )
+    params = _run_metadata(model, bath, grid, kernel_omega_max)
+    return Trajectory(grid=grid, collective=S, params=params, **series)
 
 
 def _run_metadata(model: ModelParams, bath: BathParams, grid: TimeGrid,

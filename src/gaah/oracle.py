@@ -489,15 +489,7 @@ def evolve_full(model: ModelParams, dbath: DiscreteBath, init: np.ndarray,
         "grid.dt": grid.dt, "grid.steps": grid.steps,
         "oracle.modes": dbath.modes, "oracle.omega_max": dbath.omega_max,
     }
-    return Trajectory(
-        grid=grid,
-        sp=series["sp"],
-        ipr=series["ipr"],
-        norm=series["norm"],
-        variance=series["variance"],
-        collective=alphas.sum(axis=1),
-        params=params,
-    )
+    return Trajectory(grid=grid, collective=alphas.sum(axis=1), params=params, **series)
 
 
 def compare_trajectories(a: Trajectory, b: Trajectory) -> float:

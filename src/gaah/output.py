@@ -17,11 +17,12 @@ for byte on every power of two, every power of ten and random bit patterns.
 
 The manifest is a JSON inventory of one run: tool version, command,
 configuration snapshot, wall-clock, per-task status, and a sha256 per
-output file.  It is written atomically (temp file + rename) so a crashed
-run never leaves a half-written manifest behind.  Output bodies are pure
-functions of the input data, and files are written as UTF-8 bytes with
-``\n`` line ends whatever the platform or locale, so re-running an
-identical configuration reproduces identical file hashes.
+output file.  Every file is written atomically (temp file + rename) so a
+crashed run never leaves a half-written file behind, and gets the mode the
+process umask gives any new file.  Output bodies are pure functions of the
+input data, and files are written as UTF-8 bytes with ``\n`` line ends
+whatever the platform or locale, so re-running an identical configuration
+reproduces identical file hashes.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
+import uuid
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -68,7 +69,10 @@ def fmt(value) -> str:
 def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    # Mode 0o666 leaves the permissions to the umask, as open() does.
+    tmp = os.path.join(directory, f".tmp-{uuid.uuid4().hex}")
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)

@@ -13,10 +13,13 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gaah import output
 from gaah._floatfmt import format_rows
+from gaah.cli import main
 from gaah.dynamics import TimeGrid
 from gaah.output import fmt, write_determinant_grid_csv
 from gaah.spectrum import DeterminantGrid
@@ -156,3 +159,31 @@ def test_bytes_do_not_depend_on_the_locale(tmp_path):
         "0.0,1.0,1.0,1.0,1.0,0.0,1.0\n"
         "0.5,0.5,0.5,0.5,0.5,0.0,0.5\n"
         "1.0,0.25,0.25,0.25,0.25,0.0,0.25\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["022", "077"])
+def test_files_follow_the_umask(tmp_path, capsys, umask, mode):
+    previous = os.umask(umask)
+    try:
+        assert main(["spectrum", "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(previous)
+    capsys.readouterr()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["manifest.json", "spectrum.csv"]
+    for name in names:
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    def chunks():
+        yield b"partial"
+        raise RuntimeError("disk gone")
+
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old")
+    with pytest.raises(RuntimeError, match="disk gone"):
+        output._atomic_write(str(path), chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert path.read_bytes() == b"old"
