@@ -7,6 +7,9 @@ complex resonance poles of the bath-dressed lattice, and cross-validates
 both against an independent discrete-bath reference.
 """
 
+# Set before the submodules load: ``output`` reads it at import.
+__version__ = "0.1.0"
+
 from .bath import (
     BathParams,
     ResiduePrescription,
@@ -68,5 +71,3 @@ from .spectrum import (
     self_consistent_pole,
     state_overlap,
 )
-
-__version__ = "0.1.0"

@@ -44,7 +44,7 @@ from .errors import (
     OracleMismatchError,
     ParameterError,
 )
-from .figures import build_bundle
+from .figures import build_bundle, write_run
 from .model import (
     build_hamiltonian,
     diagonalize,
@@ -203,11 +203,6 @@ def _cmd_oracle(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
     return 0
 
 
-def _sweep_file(key: str, value: float) -> str:
-    """File name of one sweep point's trajectory."""
-    return f"sweep_{key.split('.', 1)[1]}{value:g}.csv"
-
-
 def _sweep_config(serialized: str, key: str, value: float) -> RunConfig:
     """The configuration of one sweep point.  An int key is handed an
     integral value as an integer and any other value as written, which its
@@ -220,60 +215,40 @@ def _sweep_config(serialized: str, key: str, value: float) -> RunConfig:
         raise ConfigError(f"sweep.values: {value!r}: {exc}") from None
 
 
-def _sweep_point(serialized: str, key: str, value: float, out_dir: str) -> dict:
-    """Run one sweep point in a worker process and write its trajectory."""
-    cfg = _sweep_config(serialized, key, value)
-    traj = evolve(cfg.model, cfg.bath, cfg.initial_state(), cfg.grid)
-    path = os.path.join(out_dir, _sweep_file(key, value))
-    write_trajectory_csv(traj, path, {"sweep.parameter": key})
-    return {
-        "path": path,
-        "value": value,
-        "SP_end": float(traj.sp[-1]),
-        "IPR_end": float(traj.ipr[-1]),
-        "norm_end": float(traj.norm[-1]),
-    }
-
-
 def _cmd_sweep(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
     key = cfg.values["sweep.parameter"]
     if key not in REGISTRY:
         raise ConfigError(f"sweep.parameter: unknown config key {key!r}")
     if REGISTRY[key].kind not in ("float", "int"):
         raise ConfigError(f"sweep.parameter: {key!r} is not numeric")
-    values = cfg.values["sweep.values"]
+    short = key.split(".", 1)[1]
     serialized = cfg.serialize()
     # Every point is checked before any runs.  Values that print alike
     # would write one file and lose a trajectory.
-    first_of: dict[str, float] = {}
-    for value in values:
-        _sweep_config(serialized, key, value)
-        name = _sweep_file(key, value)
-        if name in first_of:
-            raise ConfigError(f"sweep.values: {first_of[name]!r} and {value!r} "
+    points: dict[str, tuple[float, RunConfig]] = {}  # file name -> (value, config)
+    for value in sorted(cfg.values["sweep.values"]):
+        point = _sweep_config(serialized, key, value)
+        name = f"sweep_{short}{value:g}.csv"
+        if name in points:
+            raise ConfigError(f"sweep.values: {points[name][0]!r} and {value!r} "
                               f"both write {name}")
-        first_of[name] = value
-    workers = cfg.values["sweep.workers"] or min(len(values), os.cpu_count() or 1)
-    rows = []
+        points[name] = value, point
+    header = {"init.state": cfg.values["init.state"], "sweep.parameter": key}
+    workers = cfg.values["sweep.workers"] or min(len(points), os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_point, serialized, key, v, out_dir)
-                   for v in values]
-        for future in futures:
-            rows.append(future.result())
-    rows.sort(key=lambda r: r["value"])
-    short = key.split(".", 1)[1]
-    summary_rows = []
-    for row in rows:
-        manifest.add_file(row["path"])
-        summary_rows.append({short: row["value"], "t_end": cfg.grid.t_max,
-                             "SP_end": row["SP_end"], "IPR_end": row["IPR_end"],
-                             "norm_end": row["norm_end"]})
-        print(f"{key} = {row['value']:g}: SP({cfg.grid.t_max:g}) = "
-              f"{fmt(row['SP_end'])}")
+        futures = {name: pool.submit(write_run, os.path.join(out_dir, name), header,
+                                     p.model, p.bath, p.initial_state(), p.grid)
+                   for name, (_, p) in points.items()}
+        rows = []
+        for name, future in futures.items():
+            value, end = points[name][0], future.result()
+            manifest.add_file(os.path.join(out_dir, name))
+            rows.append({short: value, **end})
+            print(f"{key} = {value:g}: SP({end['t_end']:g}) = {fmt(end['SP_end'])}")
     summary = os.path.join(out_dir, "sweep_summary.csv")
-    write_summary_csv(summary_rows, summary)
+    write_summary_csv(rows, summary)
     manifest.add_file(summary)
-    manifest.add_task("sweep", "ok", f"{len(rows)} points over {key}")
+    manifest.add_task("sweep", "ok", f"{len(points)} points over {key}")
     return 0
 
 

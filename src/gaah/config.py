@@ -15,7 +15,7 @@ which makes the emitted config a self-contained record of a run:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -246,17 +246,13 @@ class RunConfig:
     def __post_init__(self):
         v = self.values
         try:
-            model = ModelParams(N=v["model.N"], lam=v["model.lam"],
-                                Delta=v["model.Delta"], a=v["model.a"],
-                                beta=v["model.beta"], phi=v["model.phi"])
-            bath = BathParams(eta=v["bath.eta"], omega_c=v["bath.omega_c"],
-                              s=v["bath.s"])
-            grid = TimeGrid.from_t_max(v["grid.dt"], v["grid.t_max"])
+            for section, cls in (("model", ModelParams), ("bath", BathParams)):
+                object.__setattr__(self, section, cls(**{
+                    f.name: v[f"{section}.{f.name}"] for f in fields(cls)}))
+            object.__setattr__(self, "grid",
+                               TimeGrid.from_t_max(v["grid.dt"], v["grid.t_max"]))
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "bath", bath)
-        object.__setattr__(self, "grid", grid)
         self._check_init_state()
         if v["poles.im_min"] >= v["poles.im_max"]:
             raise ConfigError("poles.im_min: must be below poles.im_max")

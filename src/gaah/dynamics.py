@@ -65,7 +65,7 @@ observables are computed one vectorized call per block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.fft
@@ -408,22 +408,17 @@ def evolve(model: ModelParams, bath: BathParams, init: np.ndarray, grid: TimeGri
     return Trajectory(grid=grid, collective=S, params=params, **series)
 
 
+def prefixed(section: str, params) -> dict:
+    """``{section}.{field}: value`` for every field of a parameter dataclass,
+    in field order: the ``model.*`` and ``bath.*`` header lines."""
+    return {f"{section}.{key}": value for key, value in asdict(params).items()}
+
+
 def _run_metadata(model: ModelParams, bath: BathParams, grid: TimeGrid,
                   kernel_omega_max: float) -> dict:
-    return {
-        "model.N": model.N,
-        "model.lam": model.lam,
-        "model.Delta": model.Delta,
-        "model.a": model.a,
-        "model.beta": model.beta,
-        "model.phi": model.phi,
-        "bath.eta": bath.eta,
-        "bath.omega_c": bath.omega_c,
-        "bath.s": bath.s,
-        "grid.dt": grid.dt,
-        "grid.steps": grid.steps,
-        "solver.kernel_omega_max": kernel_omega_max,
-    }
+    return {**prefixed("model", model), **prefixed("bath", bath),
+            "grid.dt": grid.dt, "grid.steps": grid.steps,
+            "solver.kernel_omega_max": kernel_omega_max}
 
 
 def beat_envelope(series: np.ndarray, dt: float, window: float = 5.0) -> np.ndarray:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathParams, check_kernel_cut, spectral_density
-from .dynamics import TimeGrid, Trajectory, observables
+from .dynamics import TimeGrid, Trajectory, observables, prefixed
 # The scalar observables stay importable from this module: perfbench traces
 # the oracle's observables by rebinding these names.
 from .dynamics import ipr, position_variance, survival_probability  # noqa: F401
@@ -483,12 +483,8 @@ def evolve_full(model: ModelParams, dbath: DiscreteBath, init: np.ndarray,
     evals, V_sys = arrowhead_eig(*_arrowhead_form(model, dbath))
     alphas = _propagate(evals, V_sys, init, grid)
     series = observables(alphas, init)
-    params = {
-        "model.N": model.N, "model.lam": model.lam, "model.Delta": model.Delta,
-        "model.a": model.a, "model.beta": model.beta, "model.phi": model.phi,
-        "grid.dt": grid.dt, "grid.steps": grid.steps,
-        "oracle.modes": dbath.modes, "oracle.omega_max": dbath.omega_max,
-    }
+    params = {**prefixed("model", model), "grid.dt": grid.dt, "grid.steps": grid.steps,
+              "oracle.modes": dbath.modes, "oracle.omega_max": dbath.omega_max}
     return Trajectory(grid=grid, collective=alphas.sum(axis=1), params=params, **series)
 
 

@@ -37,12 +37,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import __version__
 from ._floatfmt import format_rows
 from .dynamics import Trajectory
 from .model import EigenDecomposition
 from .spectrum import DeterminantGrid, ResonancePole
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 TRAJECTORY_COLUMNS = ("t", "SP", "IPR", "norm", "variance", "Re S", "Im S")
 
@@ -108,10 +109,7 @@ def _csv_chunks(lines: list[str], columns: tuple[np.ndarray, ...],
 def write_trajectory_csv(traj: Trajectory, path: str,
                          extra_params: dict | None = None) -> None:
     """Columns t, SP, IPR, norm, variance, Re S, Im S; parameters as comments."""
-    params = dict(traj.params)
-    if extra_params:
-        params.update(extra_params)
-    lines = _header_lines(params)
+    lines = _header_lines({**traj.params, **(extra_params or {})})
     lines.append(",".join(TRAJECTORY_COLUMNS))
     columns = (traj.grid.times(), traj.sp, traj.ipr, traj.norm, traj.variance,
                traj.collective.real, traj.collective.imag)

@@ -119,16 +119,16 @@ def _secular_scaled(dec: EigenDecomposition, energy: np.ndarray,
     with Sigma there given as a scalar or per point.
 
     det M = prod_{m != k} (lambda_m - E) * h with k the level nearest E and
-    h the deflated secular function, finite on that level.  A zero
+    h the deflated secular function, finite on that level; h is formed as
+    :func:`_deflated_h` forms it, from the same differences.  A zero
     determinant reads (-inf, 1); a second level exactly at E is a zero
     factor, whatever h reads there.
     """
-    lam = dec.energies
+    lam, w = dec.energies, collective_weights(dec)
     k = np.abs(lam - energy.real[:, None]).argmin(axis=1)
-    z = lam - energy[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        z[np.arange(len(energy)), k] = _deflated_h(
-            lam, collective_weights(dec), energy, sigma, k)
+        d_k, z, q = _level_terms(lam, w, energy, k)
+        z[np.arange(len(energy)), k] = d_k * (1.0 + sigma * q.sum(axis=-1)) + sigma * w[k]
     mags = np.abs(z)
     zero = (mags == 0.0).any(axis=1)
     mags[zero] = 1.0

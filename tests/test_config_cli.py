@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gaah.bath import ResiduePrescription, SigmaMode
-from gaah import cli, oracle
+from gaah import cli, figures, oracle
 from gaah.cli import main
 from gaah.config import (
     REGISTRY,
@@ -495,6 +495,60 @@ class TestCliSpectrumPolesSweepFig:
         assert not list(tmp_path.glob("sweep_*.csv"))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "config-error"
+
+    def test_sweep_over_the_horizon_reports_each_point_s_own(self, tmp_path, capsys):
+        rc = main(["sweep", "--out", str(tmp_path), "--set", "model.N=7",
+                   "--set", "grid.dt=0.02", "--set", "sweep.parameter=grid.t_max",
+                   "--set", "sweep.values=2,1"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "grid.t_max = 1: SP(1) = " in out and "grid.t_max = 2: SP(2) = " in out
+        _, cols, rows = _read_csv(tmp_path / "sweep_summary.csv")
+        assert cols == ["t_max", "t_end", "SP_end", "IPR_end", "norm_end"]
+        assert [(r[0], r[1]) for r in rows] == [("1.0", "1.0"), ("2.0", "2.0")]
+        for name, row in (("sweep_t_max1.csv", rows[0]), ("sweep_t_max2.csv", rows[1])):
+            _, _, data = _read_csv(tmp_path / name)
+            assert data[-1][0] == row[1] and data[-1][1:4] == row[2:5]
+
+    def test_sweep_header_records_the_initial_state(self, tmp_path, capsys):
+        # A sweep point's file is the evolve file of its configuration, with
+        # the sweep.parameter line after init.state.
+        base = ["--set", "model.N=7", "--set", "grid.dt=0.02",
+                "--set", "grid.t_max=2", "--set", "init.state=uniform"]
+        assert main(["sweep", "--out", str(tmp_path / "sweep"), *base,
+                     "--set", "sweep.values=1.5"]) == 0
+        assert main(["evolve", "--out", str(tmp_path / "evolve"), *base,
+                     "--set", "model.Delta=1.5"]) == 0
+        capsys.readouterr()
+        header, cols, rows = _read_csv(tmp_path / "sweep" / "sweep_Delta1.5.csv")
+        evolve_header, evolve_cols, evolve_rows = _read_csv(
+            tmp_path / "evolve" / "trajectory.csv")
+        assert list(header)[-2:] == ["init.state", "sweep.parameter"]
+        assert header["init.state"] == "uniform"
+        assert header["sweep.parameter"] == "model.Delta"
+        assert {k: v for k, v in header.items() if k != "sweep.parameter"} == evolve_header
+        assert (cols, rows) == (evolve_cols, evolve_rows)
+
+    @pytest.mark.parametrize("bundle", ["fig1", "fig2", "fig3", "figA2", "all"])
+    def test_figdata_refuses_an_initial_state_it_would_ignore(
+            self, tmp_path, capsys, monkeypatch, bundle):
+        def refuse(*args):
+            raise AssertionError("a bundle ran with init.state=site:1")
+
+        monkeypatch.setattr(figures, "evolve", refuse)
+        rc = main(["figdata", "--out", str(tmp_path), "--set", f"fig.bundle={bundle}",
+                   "--set", "init.state=site:1"])
+        assert rc == 2
+        assert "init.state" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "config-error"
+
+    def test_figA1_takes_any_initial_state(self, tmp_path, capsys):
+        assert main(["figdata", "--out", str(tmp_path), "--set", "fig.bundle=figA1",
+                     "--set", "init.state=site:1"]) == 0
+        capsys.readouterr()
+        assert len(list(tmp_path.glob("figA1_*.csv"))) == 2
 
     def test_infinite_horizon_is_a_config_error(self, tmp_path, capsys):
         assert main(["evolve", "--out", str(tmp_path), "--set", "grid.t_max=inf"]) == 2

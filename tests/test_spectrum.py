@@ -370,6 +370,22 @@ class TestDeterminant:
                 scalar = spectrum._deflated_h(lam, w, E[i], sigma[i], k[i])
                 assert scalar == spectrum._deflated_secular(lam, w, E[i], sigma[i], k[i])[0]
 
+    def test_scaled_determinant_takes_h_from_the_kernel(self, eig, bath):
+        # The scan forms lambda - E once per cell and h from those same
+        # differences; it must give the bits of the product of the
+        # differences with h put in by _deflated_h.
+        lam, w = eig.energies, collective_weights(eig)
+        E = np.linspace(lam[0] - 1.0, lam[-1] + 1.0, 301) - 0.03j
+        E[::60] = lam[::4]
+        k = np.abs(lam - E.real[:, None]).argmin(axis=1)
+        sigma = self_energy_eval(bath, E, HALF, SigmaMode.REAL_AXIS)
+        z = lam - E[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z[np.arange(E.size), k] = spectrum._deflated_h(lam, w, E, sigma, k)
+            log_abs, phase = spectrum._secular_scaled(eig, E, sigma)
+        assert np.array_equal(log_abs, np.log(np.abs(z)).sum(axis=1))
+        assert np.array_equal(phase, (z / np.abs(z)).prod(axis=1))
+
     def test_conjugate_symmetry_decoupled(self, model):
         # Real symmetric matrix: det(conj E) = conj(det E) exactly.
         E = 2.9 - 0.05j

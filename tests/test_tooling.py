@@ -15,20 +15,27 @@ once, so that the pole ops keep their cost; the oracle
 must never form the (N + M)-square full Hamiltonian, and its secular solve
 must sum each block of roots over the poles near it alone, so that the
 oracle op keeps its cost.  The names the ``gaah`` package exports are
-pinned, so that adding or removing one is a visible diff here.
+pinned, so that adding or removing one is a visible diff here.  The
+configuration registry's defaults are held to the library's (the
+``ModelParams`` and ``BathParams`` fields, the pole-search depth, the
+oracle's keyword defaults), and the package version to ``pyproject.toml``'s,
+so that neither copy can drift.
 """
 
 from __future__ import annotations
 
 import collections
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
 import sys
 import tracemalloc
 import types
 
 import numpy as np
+import pytest
 import scipy.fft
 import scipy.integrate
 import scipy.linalg
@@ -37,6 +44,7 @@ import gaah
 from gaah import cli, dynamics, oracle, output, spectrum
 from gaah._floatfmt import format_rows
 from gaah.bath import BathParams, SigmaMode
+from gaah.config import REGISTRY
 from gaah.model import ModelParams, build_hamiltonian, diagonalize, highest_excited_state
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -339,3 +347,23 @@ def test_public_names_are_pinned():
                       if not name.startswith("_")
                       and not isinstance(value, types.ModuleType))
     assert exported == PUBLIC_NAMES
+
+
+def test_registry_defaults_are_the_library_defaults():
+    for section, cls in (("model", ModelParams), ("bath", BathParams)):
+        keys = {name: spec.default for name, spec in REGISTRY.items()
+                if name.startswith(f"{section}.")}
+        assert keys == {f"{section}.{f.name}": f.default for f in dataclasses.fields(cls)}
+    assert REGISTRY["poles.im_min"].default == -spectrum.SEARCH_DEPTH
+    assert REGISTRY["poles.im_max"].default == 0.0
+    defaults = inspect.signature(oracle.validate_against_oracle).parameters
+    for key in ("modes", "omega_max", "threshold"):
+        assert REGISTRY[f"oracle.{key}"].default == defaults[key].default
+
+
+def test_one_version_string():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as handle:
+        version = tomllib.load(handle)["project"]["version"]
+    assert version == gaah.__version__
+    assert output.TOOL_VERSION == gaah.__version__
