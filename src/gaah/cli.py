@@ -221,7 +221,10 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
         raise ConfigError(f"sweep.parameter: unknown config key {key!r}")
     if REGISTRY[key].kind not in ("float", "int"):
         raise ConfigError(f"sweep.parameter: {key!r} is not numeric")
-    short = key.split(".", 1)[1]
+    section, _, short = key.partition(".")
+    if section not in ("model", "bath", "grid"):
+        raise ConfigError(f"sweep.parameter: no trajectory reads {key!r}; "
+                          "sweep a model.*, bath.* or grid.* key")
     serialized = cfg.serialize()
     # Every point is checked before any runs.  Values that print alike
     # would write one file and lose a trajectory.

@@ -42,11 +42,17 @@ one lower-triangular Toeplitz system (delta + K * W) * S = g - K * far.
 Here K_k = dt sum_mu c_mu^2 z_mu^k is the collective propagator, g the
 free propagation of the carried state and ``far`` the history before the
 block.  The matrix is the same for every block, so the first HISTORY_BLOCK
-coefficients of its inverse series are computed once per run, by forward
-substitution.  A block then costs its far history, three causal
-convolutions of block length (the inverse series by direct summation, which
-keeps the solve as accurate as the step-by-step recursion) and a few
-(block x N) array operations.
+coefficients of its inverse series R are computed once per run, by causal
+forward substitution in chunks of ``SERIES_CHUNK``, together with the
+2B-point spectra of R, R * K and W[:B].  A block then costs its far
+history, five transforms of 2B points (S = R * g - (R * K) * far and
+C = far + W * S as products of spectra) and a few (block x N) array
+operations.  Against the same step recursion carried in long double, over
+three blocks at eta = 0.1, eta = 0.5 and s = 0.5, the transforms leave
+5.7-6.9e-13 in SP and 3.5-4.4e-13 in the norm; the direct sums they
+replaced left 5.0-5.9e-13 and 2.9-3.8e-13.  A block whose S is non-finite
+or out of bound is redone by direct causal sums, so its first bad step is
+reported where it happened and no overflow reaches a transform.
 
 The far history is a uniformly partitioned overlap-save convolution: with
 B = HISTORY_BLOCK, block i reaches block k > i through the 2B - 1 lags
@@ -55,10 +61,11 @@ of block i with that window of W holds them without wrap-around.  The
 spectra of the windows are taken once per run and that of each block once,
 so block k costs k spectrum products, one FFT and one inverse FFT of 2B
 points.  The quadrature is unchanged; only the order of arithmetic
-differs.  A run of n steps costs O(n^2 / HISTORY_BLOCK + n *
-HISTORY_BLOCK): a t = 1200, dt = 0.01 trajectory at N = 21 takes about
-0.2 s, under 2 us per step, on one core of a 2-core Xeon VM.  Each block's
-norms are checked before its S enters the history of a later block, and
+differs.  A run of n steps costs O(n^2 / HISTORY_BLOCK + n log
+HISTORY_BLOCK), plus HISTORY_BLOCK^2 / 2 multiply-adds once for the inverse
+series: a t = 1200, dt = 0.01 trajectory at N = 21 takes about 0.16 s,
+under 1.5 us per step, on one core of a 2-core Xeon VM.  Each block's norms
+are checked before its S enters the history of a later block, and
 observables are computed one vectorized call per block.
 """
 
@@ -80,9 +87,13 @@ from .model import ModelParams, build_hamiltonian, diagonalize
 NORM_BLOWUP = 1.0 + 1e-4
 
 #: Steps per history block: over n steps the far history costs about
-#: n^2 / HISTORY_BLOCK spectrum products, the in-block convolutions about
-#: n * HISTORY_BLOCK operations.
+#: n^2 / HISTORY_BLOCK spectrum products, the in-block solve five transforms
+#: of 2 * HISTORY_BLOCK points per block, and the inverse series about
+#: HISTORY_BLOCK^2 / 2 multiply-adds once per run.
 HISTORY_BLOCK = 2048
+
+#: Coefficients per chunk of the inverse series' forward substitution.
+SERIES_CHUNK = 64
 
 #: Polynomial order of the Savitzky-Golay fit in ``beat_envelope``.
 ENVELOPE_ORDER = 2
@@ -238,7 +249,7 @@ class _History:
     W and the start-point correction D = T - W.  For the steps q = a..b-1 of
     a block, ``far`` gives the part that the history S[0:a] fixed before the
     block began, and ``solve`` the block's S and C from the free propagation
-    of its first amplitudes.  Single-block runs hold no spectra.
+    of its first amplitudes.  Single-block runs hold no window spectra.
     """
 
     def __init__(self, W: np.ndarray, T: np.ndarray, Z: np.ndarray, c: np.ndarray,
@@ -254,10 +265,16 @@ class _History:
         self.T = T
         # S_m = g_m - sum_j K_{m-j} C_j and C = far + W * S within a block,
         # so (delta + K * W) * S = g - K * far; R inverts delta + K * W.
-        A = _causal(K, W, block, direct=True)
-        A[0] += 1.0
+        # Sequences of block length, zero-padded to 2B points, convolve
+        # cyclically without wrap-around in their first B outputs.
+        K_hat = _spectrum(K, block)
+        self.W_hat = _spectrum(self.W, block)
         with np.errstate(all="ignore"):   # an unstable rule may overflow R
+            A = scipy.fft.ifft(K_hat * self.W_hat)[:block]
+            A[0] += 1.0
             self.R = _inverse_series(A)
+            self.R_hat = _spectrum(self.R, block)
+            self.RK_hat = _spectrum(scipy.fft.ifft(self.R_hat * K_hat)[:block], block)
         if steps > block:
             blocks = -(-steps // block)
             # Row d - 1 holds the lags (d-1)B+1 .. (d+1)B of W, zero past the
@@ -284,42 +301,59 @@ class _History:
         k = (a - 1) // block
         if k == 0:
             return start
-        self.S_spec[k - 1] = scipy.fft.fft(S[a - block:a], n=2 * block)
+        self.S_spec[k - 1] = _spectrum(S[a - block:a], block)
         spec = np.einsum("ij,ij->j", self.S_spec[:k], self.W_spec[k - 1::-1])
         return scipy.fft.ifft(spec)[block - 1:block - 1 + b - a] + start
 
     def solve(self, g: np.ndarray, S: np.ndarray, a: int, b: int):
         """S and C at the steps a..b-1 of a block whose S would be g
-        without the memory term."""
-        n = b - a
+        without the memory term: five transforms of 2B points."""
+        n, block = b - a, len(self.W)
         far = self.far(S, a, b)
-        # Applied by FFT, the inverse series doubled the norm error against
-        # the step-by-step recursion at eta = 0.5 (3.0e-13 to 6.6e-13 over
-        # 3 blocks).
-        S_blk = _causal(self.R, g - _causal(self.K, far, n), n, direct=True)
-        # |S|^2 <= N |alpha|^2: past this bound the block holds a bad step.
-        # An FFT would spread the rounding error of its large (or
-        # non-finite) S over every step of the block, so the history is then
-        # summed directly, which keeps each step independent of later ones.
-        blown = not np.all(np.abs(S_blk) ** 2 <= self.S_bound)
-        return S_blk, far + _causal(self.W, S_blk, n, direct=blown)
+        # By transforms, as accurate as direct sums against a long-double
+        # reference (module docstring).
+        S_blk = scipy.fft.ifft(self.R_hat * _spectrum(g, block)
+                               - self.RK_hat * _spectrum(far, block))[:n]
+        # |S|^2 <= N |alpha|^2: past this bound (or non-finite) the block
+        # holds a bad step.  A transform would spread the rounding error of
+        # its large S over every step of the block, so the block is redone
+        # by direct causal sums, which keep each step independent of later
+        # ones; no overflow reaches a transform.
+        if not np.all(np.abs(S_blk) ** 2 <= self.S_bound):
+            S_blk = _causal(self.R, g - _causal(self.K, far, n), n)
+            return S_blk, far + _causal(self.W, S_blk, n)
+        return S_blk, far + scipy.fft.ifft(self.W_hat * _spectrum(S_blk, block))[:n]
 
 
-def _causal(x: np.ndarray, y: np.ndarray, n: int, direct: bool = False) -> np.ndarray:
-    """First n terms of the convolution x * y: by FFT, or by direct summation,
-    whose rounding error stays relative to the terms it sums."""
-    if direct:
-        return np.convolve(x[:n], y[:n])[:n]
-    return scipy.signal.fftconvolve(x[:n], y[:n])[:n]
+def _spectrum(x: np.ndarray, block: int) -> np.ndarray:
+    """The 2B-point spectrum of a sequence of at most B = ``block`` terms."""
+    return scipy.fft.fft(x, n=2 * block)
+
+
+def _causal(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of the convolution x * y by direct summation, whose
+    rounding error stays relative to the terms it sums."""
+    return np.convolve(x[:n], y[:n])[:n]
 
 
 def _inverse_series(A: np.ndarray) -> np.ndarray:
-    """First len(A) coefficients of the power series 1 / A(x), by forward
-    substitution."""
+    """First len(A) coefficients of the power series 1 / A(x), by causal
+    forward substitution, ``SERIES_CHUNK`` coefficients at a time.
+
+    With R = 1 / A, sum_{j<=q} A_{q-j} R_j = 0 for q >= 1.  The coefficients
+    before a chunk reach it through one "valid" convolution; the chunk's own
+    triangle is then a convolution of that sum with R[:SERIES_CHUNK], the
+    inverse series of A[:SERIES_CHUNK].
+    """
+    n = len(A)
     R = np.empty_like(A)
     R[0] = 1.0 / A[0]
-    for n in range(1, len(A)):
-        R[n] = -R[0] * np.dot(A[1:n + 1], R[n - 1::-1])
+    for q in range(1, min(n, SERIES_CHUNK)):
+        R[q] = -R[0] * np.dot(A[1:q + 1], R[q - 1::-1])
+    for m in range(SERIES_CHUNK, n, SERIES_CHUNK):
+        e = min(m + SERIES_CHUNK, n)
+        known = np.convolve(A[1:e], R[:m], "valid")   # q = m..e-1
+        R[m:e] = -np.convolve(R[:e - m], known)[:e - m]
     return R
 
 

@@ -216,9 +216,10 @@ def scan_grid(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
               sigma_mode: SigmaMode = SigmaMode.AUTO) -> DeterminantGrid:
     """Sample ln|det M(E)| over the region, one row of constant Im E at a
     time, for the determinant landscapes of the figure data.  Under the
-    real-axis mode the self-energy depends only on Re(E), so each of the
-    n_re columns costs one dispersive integral; the continued mode takes the
-    closed form for a whole row at once."""
+    real-axis mode the self-energy depends only on Re(E), so it is taken
+    once per column: n_re evaluations of Sigma, in closed form at s = 1
+    and as a rational sum over the bath's ray modes at s != 1.  The
+    continued mode takes the closed form for a whole row at once."""
     if n_re < 2 or n_im < 2:
         raise ParameterError("grid needs at least 2 points per axis")
     dec = diagonalize(build_hamiltonian(model))

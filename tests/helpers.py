@@ -4,8 +4,9 @@ The integrator takes the memory kernel through its closed-form product
 moments, the self-energy is a rational sum over rotated-ray modes, and the
 pole search reports poles, not beat frequencies; these helpers give the
 tests the kernel itself, the subtracted principal-value quadrature of the
-dispersive self-energy, a dt-halving check and the beat frequency between
-two poles.
+dispersive self-energy, the step-by-step recursion of the integrator with a
+direct history sum (in float64 or in extended precision), a dt-halving check
+and the beat frequency between two poles.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from scipy.integrate import quad
 from scipy.special import gamma
 
 from gaah.bath import BathParams, check_kernel_cut, spectral_density
-from gaah.dynamics import TimeGrid, evolve
-from gaah.errors import NumericsError, ParameterError
-from gaah.model import ModelParams
+from gaah.dynamics import NORM_BLOWUP, TimeGrid, evolve, survival_probability
+from gaah.errors import NumericsError, ParameterError, UnstableEvolutionError
+from gaah.model import EigenDecomposition, ModelParams
 from gaah.spectrum import ResonancePole
 
 
@@ -116,6 +117,61 @@ def dispersive_part_by_quadrature(eta: float, omega_c: float, s: float, x: float
     tail = _checked_quad(lambda w: spectral_density(b, w) / (x - w),
                          W, math.inf, **_QUAD_OPTS)
     return main + tail
+
+
+def direct_steps(dec: EigenDecomposition, W: np.ndarray, T: np.ndarray, init: np.ndarray,
+                 grid: TimeGrid, dtype=complex, bound: float = NORM_BLOWUP):
+    """SP and squared norm of ``evolve``'s step recursion, one step at a time.
+
+    Each step takes C_m and the endpoint-free c_hist from two full-length dot
+    products over the stored history, with the same implicit stage as
+    ``evolve``.  The eigensystem, the lag weights W, T and the state enter as
+    given and are then carried in ``dtype``: ``np.clongdouble`` gives a
+    reference whose rounding error lies below that of float64 where long
+    double is wider than double.  Raises ``UnstableEvolutionError`` where the
+    squared norm exceeds ``bound``.
+    """
+    real = np.finfo(dtype).dtype
+    dt = real.type(grid.dt)
+    U = dec.states.astype(dtype)
+    W, T = W.astype(dtype), T.astype(dtype)
+    Wrev = W[::-1].copy()
+    L = grid.steps
+
+    def conv(S, q, m_hist, S_end=None):
+        # C at time index q from S[0..m_hist]; with S_end, q == m_hist + 1.
+        if q == 0:
+            return dtype(0.0)
+        if S_end is None:
+            c = np.dot(S[:q + 1], Wrev[L - q:L + 1])
+        else:
+            c = np.dot(S[:m_hist + 1], Wrev[L - q:L]) + S_end * W[0]
+        return c + S[0] * (T[q] - W[q])
+
+    N = len(init)
+    P = (U * np.exp(-1j * dec.energies.astype(real) * dt)) @ U.T
+    ones = np.ones(N, dtype=dtype)
+    P_ones = P @ ones
+    alpha = np.asarray(init, dtype=dtype).copy()
+    S = np.zeros(L + 1, dtype=dtype)
+    S[0] = alpha.sum()
+    sp = np.empty(L + 1)
+    norm = np.empty(L + 1)
+    sp[0] = survival_probability(alpha, init)
+    norm[0] = float(np.vdot(alpha, alpha).real)
+    for m in range(L):
+        C_m = conv(S, m, m)
+        c_hist = conv(S, m + 1, m, S_end=0.0)
+        A = P @ alpha - 0.5 * dt * C_m * P_ones
+        S_new = (A.sum() - 0.5 * dt * N * c_hist) / (1.0 + 0.5 * dt * N * W[0])
+        alpha = A - 0.5 * dt * (c_hist + W[0] * S_new) * ones
+        nsq = float(np.vdot(alpha, alpha).real)
+        if nsq > bound:
+            raise UnstableEvolutionError(m + 1, nsq)
+        S[m + 1] = alpha.sum()
+        sp[m + 1] = survival_probability(alpha, init)
+        norm[m + 1] = nsq
+    return sp, norm
 
 
 @dataclass(frozen=True)

@@ -348,6 +348,18 @@ class TestCliErrors:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "config-error"
 
+    @pytest.mark.parametrize("key", ["oracle.modes", "poles.im_min", "sweep.workers"])
+    def test_sweep_parameter_no_trajectory_reads(self, tmp_path, capsys, key):
+        # Swept, such a key wrote identical trajectories under distinct names.
+        rc = main(["sweep", "--out", str(tmp_path), "--set", "model.N=7",
+                   "--set", f"sweep.parameter={key}", "--set", "sweep.values=1,2",
+                   "--set", "grid.dt=0.02", "--set", "grid.t_max=2"])
+        assert rc == 2
+        assert f"no trajectory reads {key!r}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sweep_*.csv"))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "config-error"
+
     def test_unexpected_exception_writes_manifest_and_propagates(
             self, tmp_path, monkeypatch):
         def broken(cfg, out_dir, manifest):

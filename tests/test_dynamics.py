@@ -31,7 +31,7 @@ from gaah.bath import BathParams
 from gaah.errors import ParameterError, UnstableEvolutionError
 from gaah.model import ModelParams, build_hamiltonian, diagonalize, state_ipr
 
-from helpers import convergence_check, memory_kernel
+from helpers import convergence_check, direct_steps, memory_kernel
 
 DECOUPLED = BathParams(eta=0.0)
 
@@ -273,54 +273,13 @@ def _cut_history(W, T, max_lag):
 
 
 def _direct_evolve(model, bath, init, grid, kernel_omega_max=math.inf, tables=None):
-    """Reference stepper with the direct O(n^2) history convolution.
-
-    Each step takes C_m and the endpoint-free c_hist from two full-length dot
-    products over the stored history, and records SP and the norm with the
-    scalar observables; same implicit stage as ``evolve``, and by default the
-    same product weights.  ``tables`` = (W, T) substitutes other lag weights.
-    """
+    """Reference stepper with the direct O(n^2) history convolution, the
+    default product weights and the stability bound read at call time.
+    ``tables`` = (W, T) substitutes other lag weights."""
     if tables is None:
         tables = _product_tables(bath, grid.dt, grid.steps, kernel_omega_max)
-    W, T = tables
-    Wrev = W[::-1].copy()
-    L = grid.steps
-
-    def conv(S, q, m_hist, S_end=None):
-        # C at time index q from S[0..m_hist]; with S_end, q == m_hist + 1.
-        if q == 0:
-            return 0.0 + 0.0j
-        if S_end is None:
-            c = np.dot(S[:q + 1], Wrev[L - q:L + 1])
-        else:
-            c = np.dot(S[:m_hist + 1], Wrev[L - q:L]) + S_end * W[0]
-        return c + S[0] * (T[q] - W[q])
-
-    dec = diagonalize(build_hamiltonian(model))
-    dt = grid.dt
-    P = (dec.states * np.exp(-1j * dec.energies * dt)) @ dec.states.T
-    ones = np.ones(model.N, dtype=complex)
-    P_ones = P @ ones
-    alpha = np.asarray(init, dtype=complex).copy()
-    S = np.zeros(grid.steps + 1, dtype=complex)
-    S[0] = alpha.sum()
-    sp = np.empty(grid.steps + 1)
-    norm = np.empty(grid.steps + 1)
-    sp[0] = survival_probability(alpha, init)
-    norm[0] = float(np.vdot(alpha, alpha).real)
-    for m in range(grid.steps):
-        C_m = conv(S, m, m)
-        c_hist = conv(S, m + 1, m, S_end=0.0)
-        A = P @ alpha - 0.5 * dt * C_m * P_ones
-        S_new = (A.sum() - 0.5 * dt * model.N * c_hist) / (1.0 + 0.5 * dt * model.N * W[0])
-        alpha = A - 0.5 * dt * (c_hist + W[0] * S_new) * ones
-        nsq = float(np.vdot(alpha, alpha).real)
-        if nsq > NORM_BLOWUP:
-            raise UnstableEvolutionError(m + 1, nsq)
-        S[m + 1] = alpha.sum()
-        sp[m + 1] = survival_probability(alpha, init)
-        norm[m + 1] = nsq
-    return sp, norm
+    return direct_steps(diagonalize(build_hamiltonian(model)), *tables, init, grid,
+                        bound=NORM_BLOWUP)
 
 
 B = HISTORY_BLOCK
@@ -372,6 +331,22 @@ class TestBlockedHistory:
         grid = TimeGrid(dt=0.01, steps=steps)
         traj = evolve(model, bath, es_state, grid, **kw)
         sp, norm = _direct_evolve(model, bath, es_state, grid, **kw)
+        assert np.max(np.abs(traj.sp - sp)) <= 1e-12
+        assert np.max(np.abs(traj.norm - norm)) <= 1e-12
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="long double is plain double on this platform")
+    @pytest.mark.parametrize("bath", [BathParams(), BathParams(eta=0.5),
+                                      BathParams(s=0.5)])
+    def test_matches_extended_precision_steps(self, model, eig, bath, es_state):
+        # The same step recursion carried in long double from the same
+        # float64 eigensystem and lag weights: a reference whose own rounding
+        # error (about 1e-13 for the float64 recursion) is out of the way.
+        # The blocked solve reads 3.5-7e-13 against it in SP and norm.
+        grid = TimeGrid(dt=0.01, steps=3 * B + 7)
+        traj = evolve(model, bath, es_state, grid)
+        tables = _product_tables(bath, grid.dt, grid.steps)
+        sp, norm = direct_steps(eig, *tables, es_state, grid, dtype=np.clongdouble)
         assert np.max(np.abs(traj.sp - sp)) <= 1e-12
         assert np.max(np.abs(traj.norm - norm)) <= 1e-12
 

@@ -6,8 +6,9 @@ by ``module:attribute`` name to time them.  A rename or deletion in
 every name it patches must keep resolving.  Likewise every CLI command its
 workloads (``perfbench/workloads.py``) run must keep parsing, so that a
 removed option fails here rather than as benchmark failures.  The far
-history of ``evolve`` must stay block-sized, so that a long trajectory, the
-benchmark's largest op, keeps its cost; its CSV must be formatted in
+history of ``evolve`` must stay block-sized, and its block solve free of
+direct sums of block length, so that a long trajectory, the benchmark's
+largest op, keeps its cost; its CSV must be formatted in
 chunks, so that it keeps its memory; an Ohmic pole search must evaluate
 no dispersive integral, and its Newton slope no exponential integral, and a
 non-Ohmic one must run no quadrature and build its table of bath modes
@@ -155,6 +156,29 @@ def test_history_transforms_stay_block_sized(monkeypatch):
                     dynamics.TimeGrid(dt=0.01, steps=10 * block + 1))
     assert len(lengths) >= 10
     assert max(lengths) <= 2 * block
+
+
+def test_block_solve_sums_no_block_length_convolution(monkeypatch):
+    # A healthy run applies the block's Toeplitz solve by transforms: only
+    # the inverse series is summed directly, in chunks, about B^2 / 2
+    # multiply-adds per run.  A direct convolution of block length per block
+    # would add B^2 for every block while every number stayed the same.
+    madds = []
+    convolve = np.convolve
+
+    def counted(a, v, mode="full"):
+        long, short = sorted((len(a), len(v)), reverse=True)
+        madds.append(short * (long - short + 1 if mode == "valid" else long))
+        return convolve(a, v, mode)
+
+    monkeypatch.setattr(np, "convolve", counted)
+    model = ModelParams(N=7)
+    init = highest_excited_state(diagonalize(build_hamiltonian(model)))
+    block = dynamics.HISTORY_BLOCK
+    dynamics.evolve(model, BathParams(), init,
+                    dynamics.TimeGrid(dt=0.01, steps=10 * block + 1))
+    assert madds
+    assert sum(madds) <= 2 * block ** 2
 
 
 def test_csv_formatting_stays_chunk_sized(tmp_path, monkeypatch):
