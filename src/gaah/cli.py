@@ -20,7 +20,9 @@ Every subcommand accepts the same configuration keys (listed at the end
 of ``--help``); unknown keys are rejected.  The output directory is taken
 from ``--out``, else the ``GAAH_OUT`` environment variable, else the
 ``output.dir`` key.  Each run writes a ``manifest.json`` inventory with a
-sha256 per output file.
+sha256 per output file; a configuration that fails to parse writes one
+(status ``config-error``) only when ``--out`` or ``GAAH_OUT`` names the
+directory.
 
 Exit codes: 0 success, 2 configuration or parameter error, 3 numerical
 failure, 4 validation mismatch.  Any other exception propagates after the
@@ -104,27 +106,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> RunConfig:
-    if args.config is not None:
-        try:
-            with open(args.config, "r") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-        source = args.config
-    else:
-        text = ""
-        source = "<defaults>"
+def _read_config(args) -> str:
+    if args.config is None:
+        return ""
+    try:
+        with open(args.config, "r") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+
+
+def _load_config(args, text: str) -> RunConfig:
     overrides = list(args.overrides)
     if args.full:
         overrides.append("fig.full=true")
-    return parse_config(text, source=source, overrides=overrides)
-
-
-def _resolve_out_dir(args, cfg: RunConfig) -> str:
-    out = args.out or os.environ.get(ENV_OUT_DIR) or str(cfg.values["output.dir"])
-    os.makedirs(out, exist_ok=True)
-    return out
+    return parse_config(text, source=args.config or "<defaults>", overrides=overrides)
 
 
 # --- subcommand handlers -----------------------------------------------
@@ -278,12 +274,24 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    out_dir = args.out or os.environ.get(ENV_OUT_DIR)
+    text = ""
     try:
-        cfg = _load_config(args)
-        out_dir = _resolve_out_dir(args, cfg)
+        text = _read_config(args)
+        cfg = _load_config(args, text)
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        # Without --out or $GAAH_OUT the directory would come from the config
+        # that failed, so there is nowhere to record the run.
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+            manifest = ManifestBuilder(command=args.command, config_text=text,
+                                       out_dir=out_dir)
+            manifest.add_task(args.command, "config-error", str(exc))
+            manifest.write(status="config-error")
         return 2
+    out_dir = out_dir or str(cfg.values["output.dir"])
+    os.makedirs(out_dir, exist_ok=True)
     manifest = ManifestBuilder(command=args.command, config_text=cfg.serialize(),
                                out_dir=out_dir)
     try:

@@ -76,7 +76,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.fft
-import scipy.signal
 import scipy.special
 
 from .bath import BathParams, check_kernel_cut
@@ -476,6 +475,9 @@ def beat_envelope(series: np.ndarray, dt: float, window: float = 5.0) -> np.ndar
     if length > series.size:
         raise ParameterError(
             f"smoothing window {window} exceeds the series span")
+    # Imported here, not with the module: scipy.signal loads scipy.stats and
+    # scipy.interpolate, about 0.7 s and 40 MB that no gaah command needs.
+    import scipy.signal
     return scipy.signal.savgol_filter(series, length, ENVELOPE_ORDER)
 
 
@@ -502,6 +504,7 @@ def dominant_period(times: np.ndarray, series: np.ndarray,
             raise ParameterError("min_separation must be > 0")
         dt = float(times[1] - times[0]) if times.size > 1 else 1.0
         distance = max(1, int(round(min_separation / dt)))
+    import scipy.signal  # imported here for the reason given in beat_envelope
     peaks, _ = scipy.signal.find_peaks(series, prominence=PEAK_PROMINENCE_FRAC * span,
                                        distance=distance)
     if len(peaks) < 2:

@@ -325,14 +325,59 @@ class TestCliEvolve:
         assert not (tmp_path / "env").exists()
 
 
+def _config_error_manifest(out_dir) -> dict:
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert manifest["files"] == []
+    [task] = manifest["tasks"]
+    assert task["status"] == "config-error"
+    return manifest
+
+
 class TestCliErrors:
     def test_unknown_override_is_config_error(self, tmp_path, capsys):
         assert main(["evolve", "--out", str(tmp_path), "--set", "bogus=1"]) == 2
         assert "unknown config key" in capsys.readouterr().err
+        manifest = _config_error_manifest(tmp_path)
+        assert manifest["command"] == "evolve"
+        assert manifest["config"] == ""
+        assert "bogus" in manifest["tasks"][0]["detail"]
+
+    def test_parse_time_range_error_writes_manifest(self, tmp_path, capsys):
+        out = tmp_path / "new"  # made by the failing run itself
+        assert main(["evolve", "--out", str(out), "--set", "model.N=1"]) == 2
+        err = capsys.readouterr().err
+        manifest = _config_error_manifest(out)
+        assert manifest["tasks"][0]["detail"] in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["evolve", "--config", str(tmp_path / "nope.conf")]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_missing_config_file_in_env_dir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GAAH_OUT", str(tmp_path / "env"))
+        assert main(["evolve", "--config", str(tmp_path / "nope.conf")]) == 2
+        capsys.readouterr()
+        manifest = _config_error_manifest(tmp_path / "env")
+        assert "cannot read config" in manifest["tasks"][0]["detail"]
+
+    def test_config_error_records_the_text_as_read(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("model.N = 7\noutput.dir = elsewhere\n")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(conf), "--out", str(out),
+                     "--set", "grid.dt=-1"]) == 2
+        capsys.readouterr()
+        assert _config_error_manifest(out)["config"] == conf.read_text()
+
+    def test_config_error_without_a_named_directory_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        # The directory would come from output.dir, in the config that failed.
+        monkeypatch.delenv("GAAH_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(["evolve", "--set", "bogus=1"]) == 2
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_line(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"

@@ -15,8 +15,11 @@ non-Ohmic one must run no quadrature and build its table of bath modes
 once, so that the pole ops keep their cost; the oracle
 must never form the (N + M)-square full Hamiltonian, and its secular solve
 must sum each block of roots over the poles near it alone, so that the
-oracle op keeps its cost.  The names the ``gaah`` package exports are
-pinned, so that adding or removing one is a visible diff here.  The
+oracle op keeps its cost.  No ``gaah`` command may load ``scipy.signal``,
+which brings ``scipy.stats`` and ``scipy.interpolate`` and most of the
+package's import time, so that every process keeps its start-up.  The
+names the ``gaah`` package exports are pinned, so that adding or removing
+one is a visible diff here.  The
 configuration registry's defaults are held to the library's (the
 ``ModelParams`` and ``BathParams`` fields, the pole-search depth, the
 oracle's keyword defaults), and the package version to ``pyproject.toml``'s,
@@ -30,7 +33,9 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import os
+import subprocess
 import sys
 import tracemalloc
 import types
@@ -99,7 +104,7 @@ def test_every_benchmark_command_parses(tmp_path, monkeypatch):
     keys = set()
     for argv in commands:
         args = cli._build_parser().parse_args(argv)
-        cli._load_config(args)
+        cli._load_config(args, "")
         keys.update(item.partition("=")[0] for item in args.overrides)
     assert len(keys) >= 11
 
@@ -362,6 +367,39 @@ PUBLIC_NAMES = [
     "spectral_density", "state_ipr", "state_overlap", "survival_probability",
     "validate_against_oracle",
 ]
+
+
+_STARTUP_SCRIPT = """
+import json, sys
+import numpy as np
+from gaah.cli import main
+from gaah.dynamics import beat_envelope
+small = ["--set", "model.N=7", "--set", "grid.t_max=2"]
+runs = (["spectrum"], ["evolve"], ["poles"], ["figdata", "--set", "fig.bundle=figA2"],
+        ["oracle", "--set", "oracle.modes=200", "--set", "oracle.t_max=2",
+         "--set", "oracle.threshold=1"])
+codes = [main(argv + small + ["--out", f"{sys.argv[1]}/{i}"]) for i, argv in enumerate(runs)]
+heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate")
+loaded = sorted(name for name in heavy if name in sys.modules)
+series = np.cos(np.linspace(0.0, 30.0, 301)) ** 2
+smoothed = beat_envelope(series, 0.1)
+import scipy.signal
+same = bool(np.array_equal(smoothed, scipy.signal.savgol_filter(series, 51, 2)))
+print(json.dumps({"codes": codes, "loaded": loaded, "same": same}))
+"""
+
+
+def test_startup_loads_no_signal_processing(tmp_path):
+    # A fresh process, since this one has long imported everything.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path)],
+                          env=env, check=True, capture_output=True, text=True,
+                          timeout=120)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 5
+    assert result["loaded"] == []
+    assert result["same"]
 
 
 def test_public_names_are_pinned():
