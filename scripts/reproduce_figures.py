@@ -5,9 +5,9 @@ Thin driver over ``gaah figdata``: one subdirectory per bundle, each with
 its own manifest.  By default the runs use the scaled grids (shorter
 horizon, coarser step); pass ``--full`` for the long-horizon grids
 (t = 1200, dt = 0.01).  On one core of a 2-core Xeon VM the scaled set
-takes about 4 s and the full set about 15 s: 23 trajectories of about
-0.65 s each at t = 1200, dt = 0.01 (0.35 s integrating, 0.27 s writing the
-CSV), about 340 MB of CSV and a peak RSS of about 140 MB.
+takes 2-2.5 s and the full set 11-13.5 s: 23 trajectories of about 0.5 s
+each at t = 1200, dt = 0.01 (about 0.17 s integrating and 0.26 s writing
+the CSV), about 335 MB of CSV and a peak RSS of about 80 MB.
 
 Usage:
     python3 scripts/reproduce_figures.py [--out DIR] [--full] [--bundle NAME ...]

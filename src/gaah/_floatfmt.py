@@ -2,9 +2,10 @@
 
 ``format_rows(block, tail)`` returns ``"%r,%r,...,%r" % row`` for every row
 of a (rows, m) float64 block, each followed by that row's ``tail`` bytes, as
-one ``bytes`` object.  It works on 1024 rows at a time in numpy integer
-arithmetic; nothing loops over values in Python except the rare subnormals,
-infinities and NaNs, which are handed to ``repr`` one at a time.
+one ``bytes`` object.  It works on the whole block at once in numpy integer
+arithmetic, so its work arrays grow with the block and callers pass blocks
+of bounded size; nothing loops over values in Python except the rare
+subnormals, infinities and NaNs, which are handed to ``repr`` one at a time.
 
 Why the text equals ``repr``:
 
@@ -46,9 +47,6 @@ _SLOTS = 30
 _PREFIX = slice(1, 6)
 _AREA = slice(6, 24)
 _EXPONENT = slice(24, 29)
-#: Rows formatted together.  With 7 values a row the digit step's twenty or
-#: so uint64 work arrays take 56 KB each, and the text slots 210 KB.
-_BLOCK_ROWS = 1024
 
 
 def _flog2pow10(e):
@@ -234,8 +232,12 @@ def _fill_slots(bits, normal, slots):
     _layout(digits, count, p, bits >> 63, slots)
 
 
-def _format_block(block, tail):
-    """``format_rows`` of at most ``_BLOCK_ROWS`` rows, with (rows, w) tails."""
+def format_rows(block: np.ndarray, tail: np.ndarray) -> bytes:
+    """``",".join(map(repr, row))`` of each row of ``block``, then its tail.
+
+    ``block`` is (rows, m) float64.  ``tail`` is uint8, (w,) for every row or
+    (rows, w) per row; its zero bytes are dropped.
+    """
     rows, m = block.shape
     bits = np.ascontiguousarray(block, dtype=np.float64).reshape(-1).view(np.uint64)
     exponent = (bits >> 52) & 0x7FF
@@ -243,7 +245,7 @@ def _format_block(block, tail):
     slots = np.empty((_SLOTS, rows * m), dtype=np.uint8)
     _fill_slots(bits, normal, slots)
     slots[-1] = ord(",")
-    buf = np.empty((rows, m * _SLOTS + tail.shape[-1]), dtype=np.uint8)
+    buf = np.empty((rows, m * _SLOTS + np.shape(tail)[-1]), dtype=np.uint8)
     values = buf[:, :m * _SLOTS].reshape(rows, m, _SLOTS)
     values[...] = slots.reshape(_SLOTS, rows, m).transpose(1, 2, 0)
     values[:, -1, -1] = 0
@@ -254,14 +256,3 @@ def _format_block(block, tail):
         values[row, col, :-1] = 0
         values[row, col, :len(text)] = np.frombuffer(text, dtype=np.uint8)
     return buf.tobytes().translate(None, b"\0")
-
-
-def format_rows(block: np.ndarray, tail: np.ndarray) -> bytes:
-    """``",".join(map(repr, row))`` of each row of ``block``, then its tail.
-
-    ``block`` is (rows, m) float64.  ``tail`` is uint8, (w,) for every row or
-    (rows, w) per row; its zero bytes are dropped.
-    """
-    tail = np.broadcast_to(tail, (len(block), np.shape(tail)[-1]))
-    return b"".join(_format_block(block[lo:lo + _BLOCK_ROWS], tail[lo:lo + _BLOCK_ROWS])
-                    for lo in range(0, len(block), _BLOCK_ROWS))

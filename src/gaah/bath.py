@@ -201,9 +201,9 @@ class SigmaMode(enum.Enum):
     CONTINUED whenever it is available.
     """
 
+    AUTO = "auto"
     REAL_AXIS = "real-axis"
     CONTINUED = "continued"
-    AUTO = "auto"
 
     def resolve(self, b: BathParams) -> "SigmaMode":
         """The mode to evaluate with under ``b``; CONTINUED at s != 1 is

@@ -134,10 +134,8 @@ def _cmd_spectrum(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> in
     write_spectrum_csv(dec, weights, iprs, path, cfg.values)
     manifest.add_file(path)
     manifest.add_task("spectrum", "ok")
-    edge = mobility_edge(cfg.model)
-    edge_text = fmt(edge) if edge is not None else "none"
     print(f"levels: {cfg.model.N}  top energy: {fmt(dec.energies[-1])}  "
-          f"mobility edge: {edge_text}")
+          f"mobility edge: {fmt(mobility_edge(cfg.model))}")
     return 0
 
 
@@ -233,7 +231,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
                               f"both write {name}")
         points[name] = value, point
     header = {"init.state": cfg.values["init.state"], "sweep.parameter": key}
-    workers = cfg.values["sweep.workers"] or min(len(points), os.cpu_count() or 1)
+    workers = min(len(points), os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {name: pool.submit(write_run, os.path.join(out_dir, name), header,
                                      p.model, p.bath, p.initial_state(), p.grid)
@@ -274,32 +272,23 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    out_dir = args.out or os.environ.get(ENV_OUT_DIR)
-    text = ""
+    # Until the config parses, the manifest holds the text as read and only
+    # --out or $GAAH_OUT can name its directory: output.dir would come from
+    # the config that failed.
+    manifest = ManifestBuilder(command=args.command, config_text="",
+                               out_dir=args.out or os.environ.get(ENV_OUT_DIR))
     try:
-        text = _read_config(args)
-        cfg = _load_config(args, text)
+        manifest.config_text = _read_config(args)
+        cfg = _load_config(args, manifest.config_text)
+        manifest.config_text = cfg.serialize()
+        manifest.out_dir = manifest.out_dir or str(cfg.values["output.dir"])
+        os.makedirs(manifest.out_dir, exist_ok=True)
+        code = _HANDLERS[args.command](cfg, manifest.out_dir, manifest)
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        # Without --out or $GAAH_OUT the directory would come from the config
-        # that failed, so there is nowhere to record the run.
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-            manifest = ManifestBuilder(command=args.command, config_text=text,
-                                       out_dir=out_dir)
+        if manifest.out_dir:
             manifest.add_task(args.command, "config-error", str(exc))
             manifest.write(status="config-error")
-        return 2
-    out_dir = out_dir or str(cfg.values["output.dir"])
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = ManifestBuilder(command=args.command, config_text=cfg.serialize(),
-                               out_dir=out_dir)
-    try:
-        code = _HANDLERS[args.command](cfg, out_dir, manifest)
-    except (ConfigError, ParameterError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        manifest.add_task(args.command, "config-error", str(exc))
-        manifest.write(status="config-error")
         return 2
     except OracleMismatchError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
@@ -313,8 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     except BaseException as exc:
         # Unmapped (OSError, BrokenProcessPool, KeyboardInterrupt, ...): record
         # the run, then let the exception end it as it would have.
-        manifest.add_task(args.command, "error", f"{type(exc).__name__}: {exc}")
-        manifest.write(status="error")
+        if manifest.out_dir:
+            manifest.add_task(args.command, "error", f"{type(exc).__name__}: {exc}")
+            manifest.write(status="error")
         raise
     manifest.write(status="ok")
     return code

@@ -7,9 +7,9 @@ serialization, and the CLI help are all driven from that single table, so
 the accepted key set and the documented key set cannot drift apart.
 
 Unknown keys are rejected, and every error names the offending key path.
-``serialize_config`` always writes the complete key set in registry order,
+``serialize_values`` always writes the complete key set in registry order,
 which makes the emitted config a self-contained record of a run:
-``parse_config(serialize_config(cfg))`` reproduces ``cfg`` exactly.
+``parse_config(cfg.serialize())`` reproduces ``cfg`` exactly.
 """
 
 from __future__ import annotations
@@ -23,15 +23,9 @@ import numpy as np
 from .bath import BathParams, ResiduePrescription, SigmaMode
 from .dynamics import TimeGrid
 from .errors import ConfigError, ParameterError
-from .model import (
-    GOLDEN_MEAN_CONJUGATE,
-    ModelParams,
-    build_hamiltonian,
-    diagonalize,
-    highest_excited_state,
-)
-
-_NONE = "none"
+from .model import ModelParams, build_hamiltonian, diagonalize, highest_excited_state
+from .output import fmt
+from .spectrum import SEARCH_DEPTH
 
 
 @dataclass(frozen=True)
@@ -56,7 +50,7 @@ class KeySpec:
             elif self.kind == "float":
                 value = float(raw)
             elif self.kind == "opt_float":
-                value = None if raw.lower() == _NONE else float(raw)
+                value = None if raw.lower() == fmt(None) else float(raw)
             elif self.kind == "bool":
                 low = raw.lower()
                 if low not in ("true", "false"):
@@ -83,22 +77,11 @@ class KeySpec:
             raise ConfigError(f"{self.name}: {self.constraint}; got {raw!r}")
         return value
 
-    def format(self, value: object) -> str:
-        if value is None:
-            return _NONE
-        if self.kind == "bool":
-            return "true" if value else "false"
-        if self.kind in ("float", "opt_float"):
-            return repr(float(value))
-        if self.kind == "float_list":
-            return ",".join(repr(float(v)) for v in value)
-        return str(value)
-
     def _kind_label(self) -> str:
         return {
             "int": "an integer",
             "float": "a number",
-            "opt_float": f"a number or '{_NONE}'",
+            "opt_float": f"a number or '{fmt(None)}'",
             "bool": "true or false",
             "str": "a string",
             "choice": "one of " + ", ".join(self.choices),
@@ -110,21 +93,23 @@ def _positive(v) -> bool:
     return v > 0
 
 
+_MODEL, _BATH = ModelParams(), BathParams()
+
 _KEYS = [
-    KeySpec("model.N", "int", 21, "number of lattice sites",
+    KeySpec("model.N", "int", _MODEL.N, "number of lattice sites",
             check=lambda v: v >= 2, constraint="must be >= 2"),
-    KeySpec("model.lam", "float", 1.0, "hopping amplitude"),
-    KeySpec("model.Delta", "float", 2.5, "onsite potential strength"),
-    KeySpec("model.a", "float", 0.0, "potential deformation, |a| < 1",
+    KeySpec("model.lam", "float", _MODEL.lam, "hopping amplitude"),
+    KeySpec("model.Delta", "float", _MODEL.Delta, "onsite potential strength"),
+    KeySpec("model.a", "float", _MODEL.a, "potential deformation, |a| < 1",
             check=lambda v: abs(v) < 1.0, constraint="must satisfy |a| < 1"),
-    KeySpec("model.beta", "float", GOLDEN_MEAN_CONJUGATE,
+    KeySpec("model.beta", "float", _MODEL.beta,
             "incommensurate wavenumber of the onsite modulation"),
-    KeySpec("model.phi", "float", math.pi, "phase offset of the onsite modulation"),
-    KeySpec("bath.eta", "float", 0.1, "system-bath coupling strength",
+    KeySpec("model.phi", "float", _MODEL.phi, "phase offset of the onsite modulation"),
+    KeySpec("bath.eta", "float", _BATH.eta, "system-bath coupling strength",
             check=lambda v: v >= 0, constraint="must be >= 0"),
-    KeySpec("bath.omega_c", "float", 10.0, "bath cutoff frequency",
+    KeySpec("bath.omega_c", "float", _BATH.omega_c, "bath cutoff frequency",
             check=_positive, constraint="must be > 0"),
-    KeySpec("bath.s", "float", 1.0, "bath spectral exponent",
+    KeySpec("bath.s", "float", _BATH.s, "bath spectral exponent",
             check=_positive, constraint="must be > 0"),
     KeySpec("grid.dt", "float", 0.01, "time step",
             check=_positive, constraint="must be > 0"),
@@ -134,15 +119,15 @@ _KEYS = [
             "initial state: es (highest excited), uniform, or site:<n>"),
     KeySpec("poles.prescription", "choice", "half",
             "residue weight of the on-shell bath response",
-            choices=("half", "full")),
+            choices=tuple(p.value for p in ResiduePrescription)),
     KeySpec("poles.sigma_mode", "choice", "auto",
             "self-energy evaluation at complex energy",
-            choices=("auto", "real-axis", "continued")),
+            choices=tuple(m.value for m in SigmaMode)),
     KeySpec("poles.re_min", "opt_float", None,
             "search window lower Re bound (none = auto around the band top)"),
     KeySpec("poles.re_max", "opt_float", None,
             "search window upper Re bound (none = auto)"),
-    KeySpec("poles.im_min", "float", -0.2, "search window lower Im bound",
+    KeySpec("poles.im_min", "float", -SEARCH_DEPTH, "search window lower Im bound",
             check=lambda v: v < 0, constraint="must be < 0"),
     KeySpec("poles.im_max", "float", 0.0, "search window upper Im bound",
             check=lambda v: v <= 0, constraint="must be <= 0"),
@@ -161,9 +146,8 @@ _KEYS = [
             "config key swept by the sweep subcommand"),
     KeySpec("sweep.values", "float_list", (1.0, 2.5, 6.0),
             "comma-separated sweep values"),
-    KeySpec("sweep.workers", "int", 0, "parallel sweep processes (0 = auto)",
-            check=lambda v: v >= 0, constraint="must be >= 0"),
     KeySpec("output.dir", "str", "gaah-out", "output directory"),
+    # A literal: figures imports config, so config cannot read figures.BUNDLES.
     KeySpec("fig.bundle", "choice", "fig1", "figure-data bundle to emit",
             choices=("fig1", "fig2", "fig3", "figA1", "figA2", "all")),
     KeySpec("fig.full", "bool", False,
@@ -177,6 +161,18 @@ def default_values() -> dict[str, object]:
     return {spec.name: spec.default for spec in _KEYS}
 
 
+def _assignment(text: str, where: str, form: str) -> tuple[str, object]:
+    """The key and parsed value of one assignment ``text``.  Errors about its
+    ``form`` or its key start with ``where``; those about its value name the
+    key."""
+    key, eq, raw = (part.strip() for part in text.partition("="))
+    if not eq:
+        raise ConfigError(f"{where}: expected {form}, got {text!r}")
+    if key not in REGISTRY:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
+    return key, REGISTRY[key].parse(raw)
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
     """Parse ``key = value`` lines into a complete, validated value map."""
     values = default_values()
@@ -185,15 +181,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        if "=" not in body:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
-        key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in REGISTRY:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
+        where = f"{source}:{lineno}"
+        key, value = _assignment(body, where, "'key = value'")
         if key in seen:
-            raise ConfigError(f"{source}:{lineno}: duplicate config key {key!r}")
+            raise ConfigError(f"{where}: duplicate config key {key!r}")
         seen.add(key)
-        values[key] = REGISTRY[key].parse(raw)
+        values[key] = value
     return values
 
 
@@ -201,12 +194,8 @@ def apply_overrides(values: dict[str, object], assignments: list[str]) -> dict[s
     """Apply ``key=value`` override strings (CLI --set) on top of a value map."""
     out = dict(values)
     for item in assignments:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r}: expected key=value")
-        key, raw = (part.strip() for part in item.split("=", 1))
-        if key not in REGISTRY:
-            raise ConfigError(f"override: unknown config key {key!r}")
-        out[key] = REGISTRY[key].parse(raw)
+        key, value = _assignment(item, "override", "key=value")
+        out[key] = value
     return out
 
 
@@ -220,7 +209,7 @@ def serialize_values(values: dict[str, object]) -> str:
             if section is not None:
                 lines.append("")
             section = head
-        lines.append(f"{spec.name} = {spec.format(values[spec.name])}")
+        lines.append(f"{spec.name} = {fmt(values[spec.name])}")
     return "\n".join(lines) + "\n"
 
 
@@ -229,8 +218,7 @@ def registry_help() -> str:
     width = max(len(spec.name) for spec in _KEYS)
     lines = ["configuration keys (file lines or --set key=value):"]
     for spec in _KEYS:
-        default = spec.format(spec.default)
-        lines.append(f"  {spec.name:<{width}}  {spec.help} [default: {default}]")
+        lines.append(f"  {spec.name:<{width}}  {spec.help} [default: {fmt(spec.default)}]")
     return "\n".join(lines)
 
 
@@ -253,7 +241,7 @@ class RunConfig:
                                TimeGrid.from_t_max(v["grid.dt"], v["grid.t_max"]))
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
-        self._check_init_state()
+        self._init_site()
         if v["poles.im_min"] >= v["poles.im_max"]:
             raise ConfigError("poles.im_min: must be below poles.im_max")
         re_min, re_max = v["poles.re_min"], v["poles.re_max"]
@@ -262,22 +250,23 @@ class RunConfig:
         if re_min is not None and re_min >= re_max:
             raise ConfigError("poles.re_min: must be below poles.re_max")
 
-    def _check_init_state(self):
+    def _init_site(self) -> int | None:
+        """The 0-based site of a ``site:<n>`` initial state, None for es and
+        uniform; any other ``init.state`` is a ConfigError."""
         state = self.values["init.state"]
         if state in ("es", "uniform"):
-            return
-        if state.startswith("site:"):
-            try:
-                n = int(state[5:])
-            except ValueError:
-                raise ConfigError(
-                    f"init.state: site index must be an integer, got {state!r}") from None
-            if not 1 <= n <= self.model.N:
-                raise ConfigError(
-                    f"init.state: site index {n} outside 1..{self.model.N}")
-            return
-        raise ConfigError(
-            f"init.state: expected es, uniform, or site:<n>; got {state!r}")
+            return None
+        if not state.startswith("site:"):
+            raise ConfigError(
+                f"init.state: expected es, uniform, or site:<n>; got {state!r}")
+        try:
+            n = int(state[5:])
+        except ValueError:
+            raise ConfigError(
+                f"init.state: site index must be an integer, got {state!r}") from None
+        if not 1 <= n <= self.model.N:
+            raise ConfigError(f"init.state: site index {n} outside 1..{self.model.N}")
+        return n - 1
 
     # typed accessors ----------------------------------------------------
 
@@ -296,7 +285,7 @@ class RunConfig:
         if state == "uniform":
             return np.full(self.model.N, 1.0 / math.sqrt(self.model.N), dtype=complex)
         vec = np.zeros(self.model.N, dtype=complex)
-        vec[int(state[5:]) - 1] = 1.0
+        vec[self._init_site()] = 1.0
         return vec
 
     def serialize(self) -> str:

@@ -21,7 +21,9 @@ header lines of its panel or case, its summary labels and the point
 (a, Delta, eta) it sets; an eta of None keeps ``bath.eta``, and every other
 parameter is the configuration's.  Every run starts from the highest
 excited state of its own lattice, so these bundles refuse any other
-``init.state`` with a ConfigError before they write a file.
+``init.state`` with a ConfigError before they write a file.  Every bundle
+sets its own time grid, so all five refuse a ``grid.dt`` or ``grid.t_max``
+other than the default the same way.
 
 ``write_run`` evolves one run, writes its trajectory CSV (all series, the
 parameter header plus the extra lines) and returns its end readings;
@@ -48,7 +50,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bath import BathParams
-from .config import RunConfig
+from .config import REGISTRY, RunConfig
 from .dynamics import TimeGrid, evolve, prefixed
 from .errors import ConfigError, ParameterError
 from .model import ModelParams, build_hamiltonian, diagonalize, highest_excited_state
@@ -141,6 +143,10 @@ def build_bundle(name: str, cfg: RunConfig, out_dir: str,
     if name != "figA1" and state != "es":
         raise ConfigError(f"init.state: {name} starts its runs from the highest "
                           f"excited state, es; got {state!r}")
+    for key in ("grid.dt", "grid.t_max"):
+        if cfg.values[key] != REGISTRY[key].default:
+            raise ConfigError(f"{key}: figure bundles set their own time grid; "
+                              f"got {cfg.values[key]!r}")
     if name == "all":
         return [path for bundle in BUNDLES
                 for path in build_bundle(bundle, cfg, out_dir, full)]

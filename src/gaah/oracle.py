@@ -33,8 +33,7 @@ so each far term is analytic inside the span's Bernstein ellipse of
 parameter rho = 3 + sqrt(8), and the interpolation error falls as rho^-P:
 4e-19 relative at P = 24, below the 8 eps noise floor of the convergence
 test.  At N = 7, M = 2000 the diagonalization takes 40-60 ms, at N = 21,
-M = 8000 on [0, 200] 0.2-0.3 s (0.13-0.18 s and 1.3-1.6 s with all-pole
-sums).  The propagation over 25,001 times (dt = 0.002, t = 50) then takes
+M = 8000 on [0, 200] 0.2-0.3 s.  The propagation over 25,001 times (dt = 0.002, t = 50) then takes
 0.1-0.12 s, and a whole validation at N = 7 0.21-0.29 s; it peaks at about
 124 MB RSS, 18 MB above the imports (one core, one BLAS thread).
 

@@ -13,7 +13,8 @@ the shortest round-trip digits exactly, and ``repr``'s layout rules place
 them (fixed notation for 1e-4 <= |x| < 1e16, ``1e-05`` style otherwise).
 Its module docstring gives the argument; the tests hold it to ``repr`` byte
 for byte on every power of two, every power of ten and random bit patterns.
-``fmt`` writes headers, scalars and the small tables.
+``fmt`` writes headers, scalars and the small tables, and every value the
+way a config file writes it.
 
 The manifest is a JSON inventory of one run: tool version, command,
 configuration snapshot, wall-clock, per-task status, and a sha256 per
@@ -48,8 +49,9 @@ TOOL_VERSION = __version__
 TRAJECTORY_COLUMNS = ("t", "SP", "IPR", "norm", "variance", "Re S", "Im S")
 
 #: Data rows formatted per chunk: the text of a long run is never held in
-#: memory at once, and a chunk's work arrays stay cache-sized.
-_CSV_CHUNK_ROWS = 4096
+#: memory at once.  With 7 values a row the digit step's twenty or so uint64
+#: work arrays take 56 KB each, and the text slots 210 KB.
+_CSV_CHUNK_ROWS = 1024
 
 _NEWLINE = np.frombuffer(b"\n", dtype=np.uint8)
 #: ",{sign Re},{sign Im}\n" of a grid row, NUL-padded, indexed by sign + 1.
@@ -59,11 +61,17 @@ _SIGN_TAILS = np.array(
 
 
 def fmt(value) -> str:
-    """Shortest round-trip representation for floats; plain str otherwise."""
+    """A value as a config file writes it: floats as their shortest
+    round-trip repr, ``none``, ``true``/``false``, a sequence comma-joined,
+    anything else as str."""
+    if value is None:
+        return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
+    if isinstance(value, (tuple, list)):
+        return ",".join(map(fmt, value))
     return str(value)
 
 
@@ -84,8 +92,10 @@ def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
         raise
 
 
-def _header_lines(params: dict) -> list[str]:
-    return [f"# {key} = {fmt(value)}" for key, value in params.items()]
+def _head(params: dict, columns) -> list[str]:
+    """The ``# key = value`` lines of ``params``, then the column row."""
+    return [*(f"# {key} = {fmt(value)}" for key, value in params.items()),
+            ",".join(columns)]
 
 
 def _text(lines: list[str]) -> bytes:
@@ -109,8 +119,7 @@ def _csv_chunks(lines: list[str], columns: tuple[np.ndarray, ...],
 def write_trajectory_csv(traj: Trajectory, path: str,
                          extra_params: dict | None = None) -> None:
     """Columns t, SP, IPR, norm, variance, Re S, Im S; parameters as comments."""
-    lines = _header_lines({**traj.params, **(extra_params or {})})
-    lines.append(",".join(TRAJECTORY_COLUMNS))
+    lines = _head({**traj.params, **(extra_params or {})}, TRAJECTORY_COLUMNS)
     columns = (traj.grid.times(), traj.sp, traj.ipr, traj.norm, traj.variance,
                traj.collective.real, traj.collective.imag)
     tails = np.broadcast_to(_NEWLINE, (len(columns[0]), 1))
@@ -121,12 +130,8 @@ def write_spectrum_csv(dec: EigenDecomposition, weights: np.ndarray,
                        iprs: np.ndarray, path: str,
                        params: dict | None = None) -> None:
     """Closed-system eigenlevels: index, energy, IPR, collective weight."""
-    lines = _header_lines(params or {})
-    lines.append("index,energy,IPR,collective_weight")
-    for i, energy in enumerate(dec.energies, start=1):
-        lines.append(",".join((str(i), fmt(energy), fmt(iprs[i - 1]),
-                               fmt(weights[i - 1]))))
-    _atomic_write(path, [_text(lines)])
+    _write_table(path, params or {}, ("index", "energy", "IPR", "collective_weight"),
+                 zip(range(1, len(dec.energies) + 1), dec.energies, iprs, weights))
 
 
 def write_pole_csv(poles: list[ResonancePole], path: str,
@@ -134,20 +139,16 @@ def write_pole_csv(poles: list[ResonancePole], path: str,
     """One record per pole: Re E, Im E, residual, overlap, iterations.  The
     residual is |h| = |(lambda_k - E) F(E)| at the pole, with lambda_k the
     level nearest it, and iterations counts the Newton steps."""
-    lines = _header_lines(params or {})
-    lines.append("Re E,Im E,residual,overlap,iterations")
-    for pole in poles:
-        lines.append(",".join((
-            fmt(pole.energy.real), fmt(pole.energy.imag), fmt(pole.residual),
-            fmt(pole.overlap), str(pole.iterations))))
-    _atomic_write(path, [_text(lines)])
+    _write_table(path, params or {}, ("Re E", "Im E", "residual", "overlap", "iterations"),
+                 ((p.energy.real, p.energy.imag, p.residual, p.overlap, p.iterations)
+                  for p in poles))
 
 
 def write_determinant_grid_csv(grid: DeterminantGrid, path: str,
                                params: dict | None = None) -> None:
     """Grid samples with ln|det| and the sign columns the contour view needs."""
-    lines = _header_lines(params or {})
-    lines.append("Re E,Im E,ln_abs_det,sign_Re_det,sign_Im_det")
+    lines = _head(params or {}, ("Re E", "Im E", "ln_abs_det", "sign_Re_det",
+                                 "sign_Im_det"))
     n_im, n_re = grid.log_abs.shape
     columns = (np.tile(grid.re, n_im), np.repeat(grid.im, n_re), grid.log_abs.ravel())
     tails = _SIGN_TAILS[grid.sign_re().ravel() + 1, grid.sign_im().ravel() + 1]
@@ -157,9 +158,14 @@ def write_determinant_grid_csv(grid: DeterminantGrid, path: str,
 def write_summary_csv(rows: list[dict], path: str) -> None:
     """One line per row dict, columns in the first row's key order."""
     columns = list(rows[0])
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt(row[c]) for c in columns))
+    _write_table(path, {}, columns, ([row[c] for c in columns] for row in rows))
+
+
+def _write_table(path: str, params: dict, columns, rows) -> None:
+    """A small CSV: the ``params`` header, the ``columns`` row, then ``fmt``
+    of every value of each row."""
+    lines = _head(params, columns)
+    lines.extend(",".join(map(fmt, row)) for row in rows)
     _atomic_write(path, [_text(lines)])
 
 

@@ -426,6 +426,19 @@ class TestRationalSelfEnergy:
                             - eta * omega_c * gamma(s + 1.0))
                 assert abs(value - expected) <= 1e-13 * (1.0 + abs(value))
 
+    @pytest.mark.parametrize("s", [
+        *(pytest.param(s, marks=pytest.mark.xfail(strict=True, reason=(
+            f"the ray's low end misses eta omega_c e^(s xi_lo)/s at x = 0; "
+            f"measured {err} against 1 + |Sigma|")))
+          for s, err in ((0.1, "1.0e-2"), (0.25, "3.8e-5"), (0.5, "3.8e-8"))),
+        1.0, 2.0,
+    ])
+    def test_value_at_zero(self, s):
+        # Sigma(0) = -eta omega_c^(1-s) int w^(s-1) e^(-w/omega_c) dw.
+        b = BathParams(s=s)
+        expected = -b.eta * b.omega_c * gamma(s)
+        assert abs(self_energy(b, 0.0) - expected) <= 1e-10 * (1.0 + abs(expected))
+
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.5, 2.0])
     def test_negative_axis_confluent_form(self, s):
         # At x < 0, Sigma = -eta omega_c Gamma(s+1) y^s U(s+1, s+1, y) with

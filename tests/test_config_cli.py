@@ -393,7 +393,7 @@ class TestCliErrors:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "config-error"
 
-    @pytest.mark.parametrize("key", ["oracle.modes", "poles.im_min", "sweep.workers"])
+    @pytest.mark.parametrize("key", ["oracle.modes", "poles.im_min", "oracle.t_max"])
     def test_sweep_parameter_no_trajectory_reads(self, tmp_path, capsys, key):
         # Swept, such a key wrote identical trajectories under distinct names.
         rc = main(["sweep", "--out", str(tmp_path), "--set", "model.N=7",
@@ -505,6 +505,21 @@ class TestCliSpectrumPolesSweepFig:
         assert float(rows[0][3]) == pytest.approx(0.498776, abs=1e-4)
         assert float(rows[1][0]) == pytest.approx(2.882305, abs=1e-6)
 
+    @pytest.mark.parametrize("sets", [
+        [],
+        ["poles.re_min=2.8", "poles.re_max=3.0", "sweep.values=0.5,2,7.25"],
+    ])
+    def test_config_headers_parse_back(self, tmp_path, capsys, sets):
+        # The header lines of a file written from the config are config lines.
+        argv = [arg for item in sets for arg in ("--set", item)]
+        expected = parse_config("", overrides=sets).values
+        for command in ("poles", "spectrum"):
+            assert main([command, "--out", str(tmp_path), *argv]) == 0
+            lines = (tmp_path / f"{command}.csv").read_text().splitlines()
+            header = "\n".join(line[2:] for line in lines if line.startswith("# "))
+            assert parse_config_text(header) == expected
+        capsys.readouterr()
+
     def test_poles_non_ohmic_default_window(self, tmp_path, capsys):
         # Non-integer s takes the real-axis self-energy down to the window's
         # clipped edge at Re E = 1e-6.
@@ -600,6 +615,25 @@ class TestCliSpectrumPolesSweepFig:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "config-error"
+
+    @pytest.mark.parametrize("bundle", ["figA2", "figA1"])
+    @pytest.mark.parametrize("setting", ["grid.dt=0.5", "grid.t_max=2"])
+    def test_figdata_refuses_a_grid_it_would_ignore(
+            self, tmp_path, capsys, monkeypatch, bundle, setting):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"a bundle ran with {setting}")
+
+        monkeypatch.setattr(figures, "evolve", refuse)
+        monkeypatch.setattr(figures, "scan_grid", refuse)
+        rc = main(["figdata", "--out", str(tmp_path), "--set", f"fig.bundle={bundle}",
+                   "--set", setting])
+        assert rc == 2
+        key = setting.partition("=")[0]
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "config-error"
+        assert key in manifest["tasks"][0]["detail"]
 
     def test_figA1_takes_any_initial_state(self, tmp_path, capsys):
         assert main(["figdata", "--out", str(tmp_path), "--set", "fig.bundle=figA1",

@@ -23,7 +23,9 @@ one is a visible diff here.  The
 configuration registry's defaults are held to the library's (the
 ``ModelParams`` and ``BathParams`` fields, the pole-search depth, the
 oracle's keyword defaults), and the package version to ``pyproject.toml``'s,
-so that neither copy can drift.
+so that neither copy can drift.  The three scripts under ``scripts/`` must
+run and print the figures their docstrings give, since they import names
+that the package keeps reshaping.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -374,10 +377,12 @@ import json, sys
 import numpy as np
 from gaah.cli import main
 from gaah.dynamics import beat_envelope
-small = ["--set", "model.N=7", "--set", "grid.t_max=2"]
-runs = (["spectrum"], ["evolve"], ["poles"], ["figdata", "--set", "fig.bundle=figA2"],
+small = ["--set", "model.N=7"]
+short = ["--set", "grid.t_max=2"]  # figdata refuses a grid of its own
+runs = (["spectrum", *short], ["evolve", *short], ["poles", *short],
+        ["figdata", "--set", "fig.bundle=figA2"],
         ["oracle", "--set", "oracle.modes=200", "--set", "oracle.t_max=2",
-         "--set", "oracle.threshold=1"])
+         "--set", "oracle.threshold=1", *short])
 codes = [main(argv + small + ["--out", f"{sys.argv[1]}/{i}"]) for i, argv in enumerate(runs)]
 heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate")
 loaded = sorted(name for name in heavy if name in sys.modules)
@@ -400,6 +405,31 @@ def test_startup_loads_no_signal_processing(tmp_path):
     assert result["codes"] == [0] * 5
     assert result["loaded"] == []
     assert result["same"]
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        f"script_{name}", os.path.join(ROOT, "scripts", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scripts_run(tmp_path, capsys):
+    # The scripts import names that the package keeps reshaping.
+    assert _load_script("reproduce_figures").main(
+        ["--out", str(tmp_path), "--bundle", "figA2"]) == 0
+    assert len(list((tmp_path / "figA2").glob("figA2_*.csv"))) == 3
+    capsys.readouterr()
+    assert _load_script("calibrate_prescription").main() == 0
+    half = capsys.readouterr().out.partition("prescription = full")[0]
+    assert "worst |dRe| = 4.73e-05; mean Im ratio = 1.000" in half
+    validate = _load_script("validate_solver")
+    assert validate.main() == 0
+    deviations = re.compile(r"max \|dSP\| = (\S+)")
+    expected = deviations.findall(validate.__doc__)
+    assert len(expected) == 6
+    assert deviations.findall(capsys.readouterr().out) == expected
 
 
 def test_public_names_are_pinned():
