@@ -26,14 +26,18 @@ with J continued analytically (principal w^s).  At theta = pi/4 the
 integrand is analytic in a strip of half width pi/4 about the ray, bounded
 by the pole of 1/(x - w) on one side and by exp(-w/omega_c) turning to
 growth at arg w = -pi/2 on the other, so the step h = 0.07 errs by about
-exp(-2 pi (pi/4) / h) = 2e-31.  The ray spans xi in [-50/(s+1),
-ln(2(s+30))].  Below it lies the weight (r_min/omega_c)^(s+1) = e^-50 of
-eta omega_c^2, an error near eta omega_c^2 e^-50 / |x|, under 2e-15
-eta omega_c for |x| >= 1e-7 omega_c.  Above it lies the tail
-r^s e^{-r cos(theta)/omega_c}, negligible against Gamma(s+1) for s <= 4.
-That is 708 modes at s = 0.1 and 142 at s = 8; against a 30-digit
-reference, Sigma is then exact to 9e-16 of 1 + |Sigma| for 1e-6 <= |x| <=
-10 omega_c at 0.1 <= s <= 4, and to 1.1e-14 at s = 8.
+exp(-2 pi (pi/4) / h) = 2e-31.  The ray spans xi in [xi_lo, ln(2(s+30))]
+with xi_lo = min(-50/(s+1), -37/s).  Below it lies the weight
+(r_min/omega_c)^(s+1) <= e^-50 of eta omega_c^2, an error near
+eta omega_c^2 e^-50 / |x|, under 2e-15 eta omega_c for |x| >= 1e-7
+omega_c; at smaller |x|, down to x = 0, the missing part of
+int J(w)/w dw, eta omega_c e^{s xi_lo}/s <= eta omega_c e^-37/s, is below
+rounding against |Sigma(0)| = eta omega_c Gamma(s).  Above the ray lies
+the tail r^s e^{-r cos(theta)/omega_c}, negligible against Gamma(s+1) for
+s <= 4.  That is 5345 modes at s = 0.1, 1116 at s = 0.5, 588 at s = 1
+and 142 at s = 8; against a 30-digit reference, Sigma is then exact to
+9e-16 of 1 + |Sigma| for 1e-6 <= |x| <= 10 omega_c at 0.1 <= s <= 4, and
+to 1.1e-14 at s = 8.
 """
 
 from __future__ import annotations
@@ -114,8 +118,12 @@ def check_kernel_cut(s: float, omega_max: float) -> None:
 def _ray_modes(eta: float, omega_c: float, s: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes w_j = omega_c e^{xi_j - i theta} and weights g_j^2 = h w_j J(w_j)
     of the rational self-energy, with xi_j spaced h over
-    [-50/(s+1), ln(2(s+30))]."""
-    lo, hi = -50.0 / (s + 1.0), math.log(2.0 * (s + 30.0))
+    [xi_lo, ln(2(s+30))].  The low end xi_lo = min(-50/(s+1), -37/s) drops
+    both the weight e^{(s+1) xi_lo} <= e^-50 of eta omega_c^2 that J(w)
+    holds below the ray and, what bounds Sigma near x = 0 at s < 1, the
+    part eta omega_c e^{s xi_lo}/s <= eta omega_c e^-37/s of
+    int J(w)/w dw: both are below rounding."""
+    lo, hi = min(-50.0 / (s + 1.0), -37.0 / s), math.log(2.0 * (s + 30.0))
     z = lo + _RAY_STEP * np.arange(int((hi - lo) / _RAY_STEP) + 1) - 1j * _RAY_ANGLE
     u = np.exp(z)
     w, g2 = omega_c * u, _RAY_STEP * eta * omega_c ** 2 * np.exp((s + 1.0) * z - u)
@@ -138,15 +146,17 @@ def self_energy(b: BathParams, E: complex,
     The integral is taken at x = Re(E) (the resonance imaginary parts this
     feeds are tiny, so the real-axis value is the working definition); for
     x > 0 the residue term -i * c * J(x) is added with c set by ``p``.  The
-    imaginary part is therefore <= 0 whenever eta > 0.
+    imaginary part is therefore <= 0 whenever eta > 0.  With the bath off
+    (eta = 0) it is 0 at every E, inside the guard range or not, as every
+    other route gives it.
     """
+    if b.eta == 0.0:
+        return 0.0 + 0.0j
     x = float(np.real(E))
     if abs(x) > ENERGY_GUARD_MULTIPLE * b.omega_c:
         raise ParameterError(
             f"Re(E) = {x} outside guard range +-{ENERGY_GUARD_MULTIPLE * b.omega_c}"
         )
-    if b.eta == 0.0:
-        return 0.0 + 0.0j
     value = complex(_dispersive_part(b.eta, b.omega_c, b.s, x))
     if x > 0.0:
         value -= 1j * p.residue_factor * spectral_density(b, x)
@@ -219,13 +229,15 @@ def self_energy_eval(b: BathParams, E,
                      p: ResiduePrescription = ResiduePrescription.HALF,
                      mode: SigmaMode = SigmaMode.AUTO):
     """Self-energy at (possibly complex) E under the chosen evaluation mode.
-    The continued mode also takes an array of E."""
+    Every mode also takes a 1-d array of E."""
     mode = mode.resolve(b)
     if mode is SigmaMode.REAL_AXIS:
         if b.s == 1.0:
             return self_energy_closed_form(b, np.real(E), p)
+        if isinstance(E, np.ndarray):
+            return np.array([self_energy(b, x, p) for x in E.real], dtype=complex)
         return self_energy(b, E, p)
-    lowest = np.asarray(E).real.min()
+    lowest = np.asarray(E).real.min(initial=math.inf)
     if b.eta != 0.0 and lowest <= 0.0:
         raise ParameterError(
             f"continued self-energy needs Re(E) > 0, got Re(E) = {float(lowest)}; "

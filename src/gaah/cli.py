@@ -71,16 +71,6 @@ from .spectrum import (
 
 ENV_OUT_DIR = "GAAH_OUT"
 
-_SUBCOMMANDS = {
-    "spectrum": "closed-system eigenlevels, participation, and bath weights",
-    "evolve": "integrate one trajectory of the memory-kernel dynamics",
-    "poles": "find complex resonance poles of the dressed lattice",
-    "oracle": "cross-validate the solver against the discrete-bath reference",
-    "sweep": "run trajectories over a parameter sweep in parallel",
-    "figdata": "emit plot-ready data bundles",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaah",
@@ -90,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, blurb in _SUBCOMMANDS.items():
+    for name, handler in _HANDLERS.items():
+        blurb = handler.__doc__
         p = sub.add_parser(
             name, help=blurb, description=blurb, epilog=registry_help(),
             formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -127,6 +118,7 @@ def _load_config(args, text: str) -> RunConfig:
 
 
 def _cmd_spectrum(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
+    """closed-system eigenlevels, participation, and bath weights"""
     dec = diagonalize(build_hamiltonian(cfg.model))
     weights = collective_weights(dec)
     iprs = np.array([state_ipr(dec.states[:, i]) for i in range(cfg.model.N)])
@@ -140,6 +132,7 @@ def _cmd_spectrum(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> in
 
 
 def _cmd_evolve(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
+    """integrate one trajectory of the memory-kernel dynamics"""
     traj = evolve(cfg.model, cfg.bath, cfg.initial_state(), cfg.grid)
     path = os.path.join(out_dir, "trajectory.csv")
     write_trajectory_csv(traj, path, {"init.state": cfg.values["init.state"]})
@@ -152,15 +145,15 @@ def _cmd_evolve(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
 
 def _pole_region(cfg: RunConfig) -> PoleSearchRegion:
     v = cfg.values
-    if v["poles.re_min"] is None:
+    re_min, re_max = v["poles.re_min"], v["poles.re_max"]
+    if re_min is None:
         base = default_search_region(cfg.model)
-        return PoleSearchRegion(base.re_min, base.re_max,
-                                v["poles.im_min"], v["poles.im_max"])
-    return PoleSearchRegion(v["poles.re_min"], v["poles.re_max"],
-                            v["poles.im_min"], v["poles.im_max"])
+        re_min, re_max = base.re_min, base.re_max
+    return PoleSearchRegion(re_min, re_max, v["poles.im_min"], v["poles.im_max"])
 
 
 def _cmd_poles(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
+    """find complex resonance poles of the dressed lattice"""
     poles = find_poles(cfg.model, cfg.bath, _pole_region(cfg),
                        prescription=cfg.prescription, sigma_mode=cfg.sigma_mode)
     if not poles:
@@ -178,6 +171,7 @@ def _cmd_poles(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
+    """cross-validate the solver against the discrete-bath reference"""
     v = cfg.values
     grid = TimeGrid.from_t_max(cfg.grid.dt, v["oracle.t_max"])
     report = validate_against_oracle(
@@ -210,6 +204,7 @@ def _sweep_config(serialized: str, key: str, value: float) -> RunConfig:
 
 
 def _cmd_sweep(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
+    """run trajectories over a parameter sweep in parallel"""
     key = cfg.values["sweep.parameter"]
     if key not in REGISTRY:
         raise ConfigError(f"sweep.parameter: unknown config key {key!r}")
@@ -250,6 +245,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
 
 
 def _cmd_figdata(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
+    """emit plot-ready data bundles"""
     bundle = cfg.values["fig.bundle"]
     full = cfg.values["fig.full"]
     files = build_bundle(bundle, cfg, out_dir, full=full)

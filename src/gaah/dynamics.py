@@ -356,6 +356,19 @@ def _inverse_series(A: np.ndarray) -> np.ndarray:
     return R
 
 
+def _checked_state(init: np.ndarray, N: int) -> np.ndarray:
+    """A fresh complex copy of ``init``, refused with ParameterError unless it
+    is a normalized state of N sites: the one check of an initial state, for
+    the integrator and the oracle alike."""
+    alpha = np.array(init, dtype=complex)
+    if alpha.shape != (N,):
+        raise ParameterError(f"initial state must have shape ({N},)")
+    nrm0 = np.linalg.norm(alpha)
+    if not math.isclose(nrm0, 1.0, rel_tol=0.0, abs_tol=1e-8):
+        raise ParameterError(f"initial state must be normalized, |init| = {nrm0}")
+    return alpha
+
+
 def evolve(model: ModelParams, bath: BathParams, init: np.ndarray, grid: TimeGrid,
            kernel_omega_max: float = math.inf) -> Trajectory:
     """Integrate the memory-kernel equation from a normalized initial state.
@@ -375,13 +388,7 @@ def evolve(model: ModelParams, bath: BathParams, init: np.ndarray, grid: TimeGri
     UnstableEvolutionError : if the squared norm exceeds 1 + 1e-4 at any step.
     NumericsError : if an amplitude becomes non-finite.
     """
-    alpha = np.asarray(init, dtype=complex).copy()
-    if alpha.shape != (model.N,):
-        raise ParameterError(f"initial state must have shape ({model.N},)")
-    nrm0 = np.linalg.norm(alpha)
-    if not math.isclose(nrm0, 1.0, rel_tol=0.0, abs_tol=1e-8):
-        raise ParameterError(f"initial state must be normalized, |init| = {nrm0}")
-
+    alpha = _checked_state(init, model.N)
     dec = diagonalize(build_hamiltonian(model))
     dt, steps = grid.dt, grid.steps
     U = dec.states

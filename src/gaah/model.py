@@ -76,13 +76,9 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
     """The dense real symmetric N x N matrix: hopping on the ring, potential
     on the diagonal.  Periodic boundary puts ``lam`` in the corners (for
     N = 2 the two bonds coincide and the off-diagonal element is 2*lam)."""
-    N = params.N
-    H = np.zeros((N, N), dtype=float)
-    for n in range(N):
-        m = (n + 1) % N
-        H[n, m] += params.lam
-        H[m, n] += params.lam
-    H[np.diag_indices(N)] = onsite_profile(params)
+    ring = np.roll(np.eye(params.N), 1, axis=1)
+    H = params.lam * (ring + ring.T)
+    H[np.diag_indices(params.N)] = onsite_profile(params)
     return H
 
 
@@ -96,12 +92,9 @@ def diagonalize(matrix: np.ndarray) -> EigenDecomposition:
         energies, states = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigensolver did not converge: {exc}") from exc
-    states = states.copy()
-    for i in range(states.shape[1]):
-        col = states[:, i]
-        if col[np.argmax(np.abs(col))] < 0.0:
-            states[:, i] = -col
-    return EigenDecomposition(energies=energies, states=states)
+    peak = states[np.abs(states).argmax(axis=0), np.arange(states.shape[1])]
+    return EigenDecomposition(energies=energies,
+                              states=np.where(peak < 0.0, -states, states))
 
 
 def mobility_edge(params: ModelParams) -> float | None:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathParams, check_kernel_cut, spectral_density
-from .dynamics import TimeGrid, Trajectory, observables, prefixed
+from .dynamics import TimeGrid, Trajectory, _checked_state, observables, prefixed
 # The scalar observables stay importable from this module: perfbench traces
 # the oracle's observables by rebinding these names.
 from .dynamics import ipr, position_variance, survival_probability  # noqa: F401
@@ -470,11 +470,10 @@ def evolve_full(model: ModelParams, dbath: DiscreteBath, init: np.ndarray,
     The propagator comes from one exact diagonalization of the full
     (N + M)-dimensional Hamiltonian as an arrowhead matrix
     (:func:`arrowhead_eig`), which keeps only the N site rows of its
-    eigenvectors.
+    eigenvectors.  The initial state must be normalized, as for
+    :func:`~gaah.dynamics.evolve`.
     """
-    init = np.asarray(init, dtype=complex)
-    if init.shape != (model.N,):
-        raise ParameterError(f"initial state must have shape ({model.N},)")
+    init = _checked_state(init, model.N)
     if grid.t_max > dbath.recurrence_time:
         raise ParameterError(
             f"t_max = {grid.t_max:g} exceeds the discrete-bath recurrence time "

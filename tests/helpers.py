@@ -5,8 +5,9 @@ moments, the self-energy is a rational sum over rotated-ray modes, and the
 pole search reports poles, not beat frequencies; these helpers give the
 tests the kernel itself, the subtracted principal-value quadrature of the
 dispersive self-energy, the step-by-step recursion of the integrator with a
-direct history sum (in float64 or in extended precision), a dt-halving check
-and the beat frequency between two poles.
+direct history sum (in float64 or in extended precision), a dt-halving check,
+the beat frequency between two poles and the pole search's seeds level by
+level.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma
 
-from gaah.bath import BathParams, check_kernel_cut, spectral_density
+from gaah.bath import (BathParams, ResiduePrescription, SigmaMode, check_kernel_cut,
+                       self_energy_eval, spectral_density)
 from gaah.dynamics import NORM_BLOWUP, TimeGrid, evolve, survival_probability
 from gaah.errors import NumericsError, ParameterError, UnstableEvolutionError
-from gaah.model import EigenDecomposition, ModelParams
-from gaah.spectrum import ResonancePole
+from gaah.model import EigenDecomposition, ModelParams, build_hamiltonian, diagonalize
+from gaah.spectrum import (PoleSearchRegion, ResonancePole, _deflated_secular,
+                           collective_weights)
 
 
 def memory_kernel(b: BathParams, t, omega_max: float = math.inf):
@@ -209,3 +212,30 @@ def transition_frequency(pole_a: complex | ResonancePole,
     ea = pole_a.energy if isinstance(pole_a, ResonancePole) else pole_a
     eb = pole_b.energy if isinstance(pole_b, ResonancePole) else pole_b
     return abs(ea.real - eb.real)
+
+
+def seeds_level_by_level(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
+                         prescription: ResiduePrescription = ResiduePrescription.HALF,
+                         sigma_mode: SigmaMode = SigmaMode.AUTO) -> list[complex]:
+    """The pole search's seeds one level at a time: the resummed Newton step
+    of the secular function from each level in the window (a level where
+    Sigma cannot be evaluated gives none), then each gap midpoint in the
+    window."""
+    dec = diagonalize(build_hamiltonian(model))
+    lam, w = dec.energies, collective_weights(dec)
+    seeds = []
+    for k in range(model.N):
+        if not region.re_min <= lam[k] <= region.re_max:
+            continue
+        E = complex(lam[k])
+        try:
+            sigma = self_energy_eval(bath, E, prescription, sigma_mode)
+        except ParameterError:
+            continue
+        h, h_E, _ = _deflated_secular(lam, w, E, sigma, k)
+        seeds.append(complex(E - h / h_E))
+    for k in range(model.N - 1):
+        mid = 0.5 * (lam[k] + lam[k + 1])
+        if region.re_min <= mid <= region.re_max:
+            seeds.append(complex(mid))
+    return seeds

@@ -435,6 +435,19 @@ class TestCliErrors:
         assert manifest["status"] == "config-error"
         assert manifest["tasks"][0]["status"] == "config-error"
 
+    @pytest.mark.parametrize("re_min, re_max", [("-6", "-1"), ("-10", "4")])
+    def test_window_the_mode_cannot_evaluate_is_a_config_error(self, tmp_path, capsys,
+                                                               re_min, re_max):
+        # Not "no poles converged", nor the poles at Re E > 0 alone: the
+        # continued Sigma is refused on the window's edge, before any seed.
+        rc = main(["poles", "--out", str(tmp_path),
+                   "--set", f"poles.re_min={re_min}", "--set", f"poles.re_max={re_max}"])
+        assert rc == 2
+        message = f"continued self-energy needs Re(E) > 0, got Re(E) = {float(re_min)}"
+        assert message in capsys.readouterr().err
+        assert message in _config_error_manifest(tmp_path)["tasks"][0]["detail"]
+        assert not (tmp_path / "poles.csv").exists()
+
 
 class TestCliOracle:
     def test_pass(self, tmp_path, capsys):

@@ -98,6 +98,18 @@ class TestHamiltonian:
         assert H[0, model.N - 1] == model.lam
         assert H[3, 4] == model.lam
 
+    @pytest.mark.parametrize("N, lam", [(2, 1.0), (3, -0.7), (21, 1.0), (34, 0.3)])
+    def test_matches_the_bond_loop(self, N, lam):
+        # One bond n -> n+1 (mod N) at a time: at N = 2 both bonds join the
+        # same two sites, so the off-diagonal element is 2*lam.
+        params = ModelParams(N=N, lam=lam)
+        H = np.diag(onsite_profile(params))
+        for n in range(N):
+            m = (n + 1) % N
+            H[n, m] += lam
+            H[m, n] += lam
+        assert np.array_equal(build_hamiltonian(params), H)
+
     def test_flat_ring_spectrum(self):
         # lam = 1, Delta = 0, N = 3: eigenvalues 2*cos(2*pi*k/3) = {2, -1, -1}.
         eig = diagonalize(build_hamiltonian(ModelParams(N=3, Delta=0.0)))

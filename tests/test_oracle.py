@@ -388,6 +388,18 @@ class TestEvolveFull:
         with pytest.raises(ParameterError, match="shape"):
             evolve_full(small_model, db, np.ones(3, dtype=complex), grid)
 
+    def test_unnormalized_state_is_refused_as_evolve_refuses_it(self, small_model,
+                                                                small_init, bath):
+        # One check of the initial state serves both sides of the comparison.
+        db = discretize_bath(bath, 50, 40.0)
+        grid = TimeGrid.from_t_max(0.01, 1.0)
+        with pytest.raises(ParameterError) as exact:
+            evolve_full(small_model, db, 2.0 * small_init, grid)
+        with pytest.raises(ParameterError) as solver:
+            evolve(small_model, bath, 2.0 * small_init, grid)
+        assert str(exact.value) == str(solver.value)
+        assert str(exact.value).startswith("initial state must be normalized")
+
 
 def _per_time_eig(H, N, init, grid):
     """The eig propagation with the phases exp(-i E t) taken at each t."""

@@ -36,7 +36,7 @@ from gaah.spectrum import (
     state_overlap,
 )
 
-from helpers import transition_frequency
+from helpers import seeds_level_by_level, transition_frequency
 
 HALF = ResiduePrescription.HALF
 
@@ -744,6 +744,54 @@ class TestFindPoles:
         seeds = perturbative_pole_seeds(model, bath, region)
         assert min(abs(s - POLE_1) for s in seeds) < 0.01
         assert min(abs(s - POLE_2) for s in seeds) < 0.05
+
+    def test_seeds_match_the_level_by_level_loop(self):
+        # One array pass gives the seeds of a loop over the levels, bit for
+        # bit: the 12 table points at s = 1 in both modes and at four other s
+        # on the real axis, both prescriptions, the default window and one
+        # holding most of the spectrum; then larger lattices at eta = 1.
+        cases = [(ModelParams(a=a, Delta=delta), BathParams(eta=eta, s=s), mode, p)
+                 for a, delta, eta in sorted(REFERENCE_POLES)
+                 for s, mode in ((1.0, SigmaMode.CONTINUED), (1.0, SigmaMode.REAL_AXIS),
+                                 (0.5, SigmaMode.REAL_AXIS), (0.75, SigmaMode.REAL_AXIS),
+                                 (1.5, SigmaMode.REAL_AXIS), (2.0, SigmaMode.REAL_AXIS))
+                 for p in ResiduePrescription]
+        cases += [(ModelParams(N=n), BathParams(eta=1.0), SigmaMode.AUTO, HALF)
+                  for n in (7, 34, 55, 89)]
+        checked = 0
+        for model, bath, mode, p in cases:
+            top = default_search_region(model)
+            for region in (top, PoleSearchRegion(0.5, top.re_max, -0.2, 0.0)):
+                seeds = perturbative_pole_seeds(model, bath, region, p, mode)
+                assert seeds == seeds_level_by_level(model, bath, region, p, mode)
+                checked += 1
+        assert checked == 296
+
+    @pytest.mark.parametrize("re_min, re_max", [(-6.0, -1.0), (-10.0, 4.0)])
+    def test_window_outside_the_continued_domain_is_refused(self, model, bath,
+                                                            monkeypatch, re_min, re_max):
+        # The window is checked once against Sigma's domain, before any seed:
+        # the continued Sigma needs Re E > 0 on the whole window.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a seed was refined")
+
+        monkeypatch.setattr(spectrum, "refine_pole", refuse)
+        region = PoleSearchRegion(re_min, re_max, -0.2, 0.0)
+        with pytest.raises(ParameterError, match="continued self-energy needs Re"):
+            find_poles(model, bath, region)
+
+    def test_window_beyond_the_guard_range_is_refused(self, model):
+        region = PoleSearchRegion(-150.0, 4.0, -0.2, 0.0)
+        for s in (1.0, 0.5):
+            with pytest.raises(ParameterError, match="outside guard range"):
+                find_poles(model, BathParams(s=s), region, HALF, SigmaMode.REAL_AXIS)
+
+    def test_real_axis_mode_keeps_the_poles_below_zero(self, model, bath):
+        # The window the continued mode refuses is searched whole on the real
+        # axis, where Re E <= 0 is in Sigma's domain.
+        poles = find_poles(model, bath, PoleSearchRegion(-10.0, 4.0, -0.2, 0.0),
+                           HALF, SigmaMode.REAL_AXIS)
+        assert sum(p.energy.real <= 0.0 for p in poles) == 10
 
 
 class TestOverlapHelpers:
