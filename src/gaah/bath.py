@@ -229,7 +229,8 @@ def self_energy_eval(b: BathParams, E,
                      p: ResiduePrescription = ResiduePrescription.HALF,
                      mode: SigmaMode = SigmaMode.AUTO):
     """Self-energy at (possibly complex) E under the chosen evaluation mode.
-    Every mode also takes a 1-d array of E."""
+    Every mode also takes a 1-d array of E.  Where :func:`_sigma_defined`
+    reads False it raises ParameterError."""
     mode = mode.resolve(b)
     if mode is SigmaMode.REAL_AXIS:
         if b.s == 1.0:
@@ -245,13 +246,27 @@ def self_energy_eval(b: BathParams, E,
     return self_energy_closed_form(b, E, p)
 
 
-def _self_energy_slope(b: BathParams, E: complex, sigma: complex,
+def _sigma_defined(b: BathParams, E, mode: SigmaMode = SigmaMode.AUTO) -> np.ndarray:
+    """Per point of the 1-d array E, whether :func:`self_energy_eval` under
+    ``mode`` takes it without raising: everywhere with the bath off, else
+    where |Re E| is within the guard range and, continued, Re E > 0.  A nan
+    Re E passes, as it passes the guards."""
+    x = np.real(E)
+    if b.eta == 0.0:
+        return np.ones(np.shape(x), dtype=bool)
+    defined = ~(np.abs(x) > ENERGY_GUARD_MULTIPLE * b.omega_c)
+    if mode.resolve(b) is SigmaMode.CONTINUED:
+        defined &= ~(x <= 0.0)
+    return defined
+
+
+def _self_energy_slope(b: BathParams, E, sigma,
                        p: ResiduePrescription = ResiduePrescription.HALF,
-                       mode: SigmaMode = SigmaMode.AUTO) -> complex:
-    """The slope of :func:`self_energy_eval` at scalar E, given its value
-    ``sigma`` there: dSigma/dE when continued, dSigma/dRe(E) on the real
-    axis.  At s = 1 the closed form Sigma = eta z e^{-u} (Ei(u) - i c) -
-    eta omega_c, u = z/omega_c (c = 0 at Re z <= 0), has the slope
+                       mode: SigmaMode = SigmaMode.AUTO):
+    """The slope of :func:`self_energy_eval` at E, a scalar or a 1-d array,
+    given its value ``sigma`` there: dSigma/dE when continued, dSigma/dRe(E)
+    on the real axis.  At s = 1 the closed form Sigma = eta z e^{-u} (Ei(u) -
+    i c) - eta omega_c, u = z/omega_c (c = 0 at Re z <= 0), has the slope
 
         (Sigma + eta omega_c) (1 - u) / z + eta,
 
@@ -260,16 +275,17 @@ def _self_energy_slope(b: BathParams, E: complex, sigma: complex,
     take the slope of the rational sum, Sigma_K'(x) = -sum_j g_j^2 /
     (x - w_j)^2, whose imaginary part -pi J'(x) at x > 0 is scaled to the
     residue factor c.  The caller has evaluated Sigma(E), so its guards
-    hold."""
-    z = complex(E) if mode.resolve(b) is SigmaMode.CONTINUED else complex(E.real)
+    hold.  A scalar E gives a scalar."""
+    E = np.asarray(E, dtype=complex)
+    z = E if mode.resolve(b) is SigmaMode.CONTINUED else E.real.astype(complex)
     if b.eta == 0.0:
-        return 0j
+        return np.zeros_like(z)[()]
     if b.s != 1.0:
         w, g2 = _ray_modes(b.eta, b.omega_c, b.s)
-        d = z.real - w
-        slope = -np.sum(g2 / (d * d))
-        return complex(slope.real,
-                       p.residue_factor / math.pi * slope.imag * (z.real > 0.0))
-    if z == 0.0:
-        return complex(math.nan, math.nan)
-    return (sigma + b.eta * b.omega_c) * (1.0 - z / b.omega_c) / z + b.eta
+        d = z.real[..., None] - w
+        slope = -np.sum(g2 / (d * d), axis=-1)
+        scale = p.residue_factor / math.pi * (z.real > 0.0)
+        return (slope.real + 1j * (scale * slope.imag))[()]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (sigma + b.eta * b.omega_c) * (1.0 - z / b.omega_c) / z + b.eta
+    return np.where(z == 0.0, complex(math.nan, math.nan), slope)[()]

@@ -48,6 +48,7 @@ from .errors import (
 )
 from .figures import build_bundle, write_run
 from .model import (
+    EigenDecomposition,
     build_hamiltonian,
     diagonalize,
     mobility_edge,
@@ -80,10 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, handler in _HANDLERS.items():
-        blurb = handler.__doc__
+    for name, (_, blurb) in _HANDLERS.items():
         p = sub.add_parser(
-            name, help=blurb, description=blurb, epilog=registry_help(),
+            name, help=blurb, description=blurb, epilog=parser.epilog,
             formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", metavar="PATH",
                        help="configuration file (omit to use defaults)")
@@ -118,7 +118,6 @@ def _load_config(args, text: str) -> RunConfig:
 
 
 def _cmd_spectrum(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
-    """closed-system eigenlevels, participation, and bath weights"""
     dec = diagonalize(build_hamiltonian(cfg.model))
     weights = collective_weights(dec)
     iprs = np.array([state_ipr(dec.states[:, i]) for i in range(cfg.model.N)])
@@ -132,7 +131,6 @@ def _cmd_spectrum(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> in
 
 
 def _cmd_evolve(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
-    """integrate one trajectory of the memory-kernel dynamics"""
     traj = evolve(cfg.model, cfg.bath, cfg.initial_state(), cfg.grid)
     path = os.path.join(out_dir, "trajectory.csv")
     write_trajectory_csv(traj, path, {"init.state": cfg.values["init.state"]})
@@ -143,19 +141,19 @@ def _cmd_evolve(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
     return 0
 
 
-def _pole_region(cfg: RunConfig) -> PoleSearchRegion:
+def _pole_region(cfg: RunConfig, dec: EigenDecomposition) -> PoleSearchRegion:
     v = cfg.values
     re_min, re_max = v["poles.re_min"], v["poles.re_max"]
     if re_min is None:
-        base = default_search_region(cfg.model)
+        base = default_search_region(cfg.model, dec=dec)
         re_min, re_max = base.re_min, base.re_max
     return PoleSearchRegion(re_min, re_max, v["poles.im_min"], v["poles.im_max"])
 
 
 def _cmd_poles(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
-    """find complex resonance poles of the dressed lattice"""
-    poles = find_poles(cfg.model, cfg.bath, _pole_region(cfg),
-                       prescription=cfg.prescription, sigma_mode=cfg.sigma_mode)
+    dec = diagonalize(build_hamiltonian(cfg.model))
+    poles = find_poles(cfg.model, cfg.bath, _pole_region(cfg, dec),
+                       prescription=cfg.prescription, sigma_mode=cfg.sigma_mode, dec=dec)
     if not poles:
         raise NumericsError("no poles converged in the search window")
     if not cfg.values["poles.report_all"]:
@@ -171,7 +169,6 @@ def _cmd_poles(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
-    """cross-validate the solver against the discrete-bath reference"""
     v = cfg.values
     grid = TimeGrid.from_t_max(cfg.grid.dt, v["oracle.t_max"])
     report = validate_against_oracle(
@@ -204,7 +201,6 @@ def _sweep_config(serialized: str, key: str, value: float) -> RunConfig:
 
 
 def _cmd_sweep(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
-    """run trajectories over a parameter sweep in parallel"""
     key = cfg.values["sweep.parameter"]
     if key not in REGISTRY:
         raise ConfigError(f"sweep.parameter: unknown config key {key!r}")
@@ -245,7 +241,6 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
 
 
 def _cmd_figdata(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
-    """emit plot-ready data bundles"""
     bundle = cfg.values["fig.bundle"]
     full = cfg.values["fig.full"]
     files = build_bundle(bundle, cfg, out_dir, full=full)
@@ -256,13 +251,15 @@ def _cmd_figdata(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int
     return 0
 
 
+#: Each subcommand's handler and its one-line help.  The help lives here,
+#: not in the handler's docstring, which ``python -OO`` strips.
 _HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "evolve": _cmd_evolve,
-    "poles": _cmd_poles,
-    "oracle": _cmd_oracle,
-    "sweep": _cmd_sweep,
-    "figdata": _cmd_figdata,
+    "spectrum": (_cmd_spectrum, "closed-system eigenlevels, participation, and bath weights"),
+    "evolve": (_cmd_evolve, "integrate one trajectory of the memory-kernel dynamics"),
+    "poles": (_cmd_poles, "find complex resonance poles of the dressed lattice"),
+    "oracle": (_cmd_oracle, "cross-validate the solver against the discrete-bath reference"),
+    "sweep": (_cmd_sweep, "run trajectories over a parameter sweep in parallel"),
+    "figdata": (_cmd_figdata, "emit plot-ready data bundles"),
 }
 
 
@@ -279,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         manifest.config_text = cfg.serialize()
         manifest.out_dir = manifest.out_dir or str(cfg.values["output.dir"])
         os.makedirs(manifest.out_dir, exist_ok=True)
-        code = _HANDLERS[args.command](cfg, manifest.out_dir, manifest)
+        code = _HANDLERS[args.command][0](cfg, manifest.out_dir, manifest)
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         if manifest.out_dir:

@@ -34,8 +34,12 @@ eta = 0.  The determinant is prod_{m != k} (lambda_m - E) * h, the Newton
 polish drives h to zero, and the seeds are one fixed-Sigma Newton step of h
 from each level: the zeros of F sit one per level of H_S, so
 ``find_poles`` polishes those seeds plus each gap midpoint and needs no
-scan of the window.  ``scan_grid`` samples the determinant landscape for
-the figure data only.
+scan of the window.  It polishes them all at once: each Newton round is a
+handful of array operations over the seeds still iterating, with one
+evaluation of Sigma for all of them, while each seed keeps its own step,
+iteration count and outcome.  ``refine_pole`` is the same iteration on one
+seed.  Null vectors are formed for the kept poles alone.  ``scan_grid``
+samples the determinant landscape for the figure data only.
 
 The secular form is the only route that ships.  The dense matrix M(E), its
 LU determinant, inverse iteration for the null vector, the sign-crossing
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import (BathParams, ResiduePrescription, SigmaMode, _self_energy_slope,
-                   self_energy_eval)
+                   _sigma_defined, self_energy_eval)
 from .errors import NumericsError, ParameterError, PrescriptionViolationError
 from .model import (
     EigenDecomposition,
@@ -174,13 +178,14 @@ class PoleSearchRegion:
             raise ParameterError("pole search region must have positive extent")
 
 
-def default_search_region(model: ModelParams) -> PoleSearchRegion:
+def default_search_region(model: ModelParams,
+                          dec: EigenDecomposition | None = None) -> PoleSearchRegion:
     """Window around the top of the closed-system spectrum: the long-lived
     collective modes live within a few hopping amplitudes of the highest
     eigenvalue, and their widths stay well inside SEARCH_DEPTH.  The window is
     clipped to Re E > 0 where the continued self-energy is single valued;
     widen it explicitly (with the real-axis mode) to chase anything below."""
-    top = float(diagonalize(build_hamiltonian(model)).energies[-1])
+    top = float(_decomposition(model, dec).energies[-1])
     return PoleSearchRegion(re_min=max(top - SEARCH_MARGIN, 1e-6),
                             re_max=top + SEARCH_MARGIN,
                             im_min=-SEARCH_DEPTH, im_max=0.0)
@@ -318,64 +323,121 @@ def state_overlap(vector: np.ndarray, state: np.ndarray) -> float:
     return float(np.abs(np.vdot(s, v)) ** 2)
 
 
+def _resonance(model: ModelParams, bath: BathParams, dec: EigenDecomposition,
+               energy: complex, iterations: int, converged: bool,
+               residual: float) -> ResonancePole:
+    """A polished pole with its mode vector and its overlap with the
+    highest excited state."""
+    vec = null_vector(model, bath, energy, dec=dec)
+    return ResonancePole(energy=energy, vector=vec,
+                         overlap=state_overlap(vec, highest_excited_state(dec)),
+                         iterations=iterations, converged=converged, residual=residual)
+
+
+def _polish(dec: EigenDecomposition, bath: BathParams, seeds,
+            prescription: ResiduePrescription, mode: SigmaMode):
+    """Drive h(E) = (lambda_k - E) F(E), k the level nearest the iterate, to
+    zero from every seed at once, by a damped Newton iteration in
+    (Re E, Im E); solved from its nearer pole, h stays finite on a level and
+    at eta = 0.  The 2x2 Jacobian is analytic: d_x h = h_E + h_Sigma Sigma',
+    d_y h = i h_E, plus i h_Sigma Sigma' where Sigma is continued, and then
+    the step is the complex Newton's.  A step that raises |h| is halved, up
+    to five times.
+
+    Each round evaluates Sigma once for all seeds still iterating, and once
+    more per halving for those that halve.  A seed keeps its own step,
+    iteration count and outcome.  Returns, per seed, the final iterate
+    (clamped to the real axis within IM_CLAMP above it), the iterations
+    taken, the residual |h| there and its fate: "" for a converged pole, or
+    why it stopped: "domain" (Sigma undefined at an iterate, which is then
+    the iterate kept), "singular" (a zero Jacobian), "unconverged"
+    (NEWTON_MAX_ITER rounds) or "violation" (Im E above IM_CLAMP, converged
+    or not).
+    """
+    lam, w = dec.energies, collective_weights(dec)
+    E = np.array(seeds, dtype=complex)
+    iterations = np.full(E.size, NEWTON_MAX_ITER)
+    resid = np.full(E.size, math.inf)
+    fate = np.full(E.size, "unconverged", dtype=object)
+    sigma = np.zeros(E.size, dtype=complex)
+    defined = _sigma_defined(bath, E, mode)
+    fate[~defined], iterations[~defined] = "domain", 0
+    active = np.flatnonzero(defined)
+    if active.size:
+        sigma[active] = self_energy_eval(bath, E[active], prescription, mode)
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        if not active.size:
+            break
+        E_a, sigma_a = E[active], sigma[active]
+        k = np.abs(lam - E_a.real[:, None]).argmin(axis=1)
+        h, h_E, h_sigma = _deflated_secular(lam, w, E_a, sigma_a, k)
+        d_x = h_E + h_sigma * _self_energy_slope(bath, E_a, sigma_a, prescription, mode)
+        d_y = 1j * (d_x if mode is SigmaMode.CONTINUED else h_E)
+        # Cramer's rule for d_x * step.real + d_y * step.imag = -h.
+        det = (d_x.conjugate() * d_y).imag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = ((d_y.conjugate() * h).imag - 1j * (d_x.conjugate() * h).imag) / det
+        # Backtrack, seed by seed, while the full step overshoots.  A seed
+        # whose Jacobian is singular or whose trial leaves Sigma's domain
+        # does not move and stops there.
+        scale, resid_a = np.ones(active.size), np.full(active.size, math.inf)
+        E_next, moved = E_a.copy(), det != 0.0
+        trying = np.flatnonzero(moved)
+        for _ in range(6):
+            E_next[trying] = E_a[trying] + scale[trying] * step[trying]
+            defined = _sigma_defined(bath, E_next[trying], mode)
+            if not defined.all():
+                moved[trying[~defined]] = False
+                trying = trying[defined]
+                if not trying.size:
+                    break
+            sigma_a[trying] = self_energy_eval(bath, E_next[trying], prescription, mode)
+            resid_a[trying] = np.abs(_deflated_h(lam, w, E_next[trying], sigma_a[trying],
+                                                 k[trying]))
+            trying = trying[~(resid_a[trying] <= np.abs(h[trying])) & (scale[trying] >= 0.05)]
+            if not trying.size:
+                break
+            scale[trying] *= 0.5
+        if not moved.all():
+            stopped = active[~moved]
+            fate[stopped] = np.where(det[~moved] == 0.0, "singular", "domain")
+            E[stopped], iterations[stopped] = E_next[~moved], it
+        index = active[moved]
+        E[index], sigma[index], resid[index] = E_next[moved], sigma_a[moved], resid_a[moved]
+        done = scale[moved] * np.abs(step[moved]) < POLE_TOL * (1.0 + np.abs(E_next[moved]))
+        fate[index[done]], iterations[index[done]] = "", it
+        active = index[~done]
+    running = (fate == "") | (fate == "unconverged")
+    fate[running & (E.imag > IM_CLAMP)] = "violation"
+    clamp = running & (0.0 < E.imag) & (E.imag <= IM_CLAMP)
+    E[clamp] = E[clamp].real
+    return E, iterations, resid, fate
+
+
 def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
                 prescription: ResiduePrescription = ResiduePrescription.HALF,
                 sigma_mode: SigmaMode = SigmaMode.AUTO,
                 dec: EigenDecomposition | None = None) -> ResonancePole:
-    """Drive h(E) = (lambda_k - E) F(E), k the level nearest the iterate, to
-    zero by a damped Newton iteration in (Re E, Im E); solved from its
-    nearer pole, h stays finite on a level and at eta = 0.  The 2x2 Jacobian
-    is analytic: d_x h = h_E + h_Sigma Sigma', d_y h = i h_E, plus
-    i h_Sigma Sigma' where Sigma is continued, and then the step is the
-    complex Newton's.  The overlap is taken with the highest excited state.
+    """Polish one seed into a pole: the damped Newton iteration of
+    :func:`find_poles` (see ``_polish``) on this seed alone.  The overlap
+    is taken with the highest excited state.
 
-    Raises PrescriptionViolationError if the converged pole sits above the
-    real axis by more than the clamping threshold.
+    Raises the bath's ParameterError if an iterate leaves Sigma's domain,
+    NumericsError on a singular Jacobian, and PrescriptionViolationError if
+    the pole sits above the real axis by more than the clamping threshold.
     """
     dec = _decomposition(model, dec)
     mode = sigma_mode.resolve(bath)
-    lam, w = dec.energies, collective_weights(dec)
-    E = complex(seed)
-    sigma = self_energy_eval(bath, E, prescription, mode)
-    it = 0
-    converged = False
-    resid = math.inf
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        k = int(np.argmin(np.abs(lam - E.real)))
-        h, h_E, h_sigma = _deflated_secular(lam, w, E, sigma, k)
-        d_x = h_E + h_sigma * _self_energy_slope(bath, E, sigma, prescription, mode)
-        d_y = 1j * (d_x if mode is SigmaMode.CONTINUED else h_E)
-        # Cramer's rule for d_x * step.real + d_y * step.imag = -h.
-        det = (d_x.conjugate() * d_y).imag
-        if det == 0.0:
-            raise NumericsError(f"singular Newton Jacobian near E = {E}")
-        step = complex((d_y.conjugate() * h).imag, -(d_x.conjugate() * h).imag) / det
-        # backtrack if the full step overshoots
-        lam_bt = 1.0
-        for _ in range(6):
-            E_next = E + lam_bt * step
-            sigma = self_energy_eval(bath, E_next, prescription, mode)
-            resid = abs(_deflated_h(lam, w, E_next, sigma, k))
-            if resid <= abs(h) or lam_bt < 0.05:
-                break
-            lam_bt *= 0.5
-        E = E_next
-        if lam_bt * abs(step) < POLE_TOL * (1.0 + abs(E)):
-            converged = True
-            break
-    if E.imag > IM_CLAMP:
-        raise PrescriptionViolationError(E)
-    if 0.0 < E.imag <= IM_CLAMP:
-        E = complex(E.real, 0.0)
-    vec = null_vector(model, bath, E, dec=dec)
-    return ResonancePole(
-        energy=E,
-        vector=vec,
-        overlap=state_overlap(vec, highest_excited_state(dec)),
-        iterations=it,
-        converged=converged,
-        residual=resid,
-    )
+    E, iterations, resid, fate = _polish(dec, bath, [seed], prescription, mode)
+    energy = complex(E[0])
+    if fate[0] == "domain":
+        self_energy_eval(bath, energy, prescription, mode)  # raises Sigma's own error
+    if fate[0] == "singular":
+        raise NumericsError(f"singular Newton Jacobian near E = {energy}")
+    if fate[0] == "violation":
+        raise PrescriptionViolationError(energy)
+    return _resonance(model, bath, dec, energy, int(iterations[0]), fate[0] == "",
+                      float(resid[0]))
 
 
 def self_consistent_pole(model: ModelParams, bath: BathParams, seed: complex,
@@ -397,38 +459,50 @@ def self_consistent_pole(model: ModelParams, bath: BathParams, seed: complex,
     raise NumericsError(f"self-consistent pole iteration stalled near E = {E}")
 
 
+def _seed_fates(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
+                prescription: ResiduePrescription, mode: SigmaMode,
+                dec: EigenDecomposition):
+    """The seeds of a search polished together, as ``_polish`` returns them,
+    with two more fates for a converged seed: "outside" the window (by more
+    than CLUSTER_TOL), or "duplicate" of an earlier seed's pole; the seeds
+    whose pole is kept read "kept"."""
+    seeds = perturbative_pole_seeds(model, bath, region, prescription, mode, dec=dec)
+    E, iterations, resid, fate = _polish(dec, bath, seeds, prescription, mode)
+    kept: list[complex] = []
+    for i in np.flatnonzero(fate == ""):
+        e = complex(E[i])
+        if not (region.re_min - CLUSTER_TOL <= e.real <= region.re_max + CLUSTER_TOL
+                and region.im_min - CLUSTER_TOL <= e.imag <= region.im_max + CLUSTER_TOL):
+            fate[i] = "outside"
+        elif any(abs(e - p) < CLUSTER_TOL * (1.0 + abs(e)) for p in kept):
+            fate[i] = "duplicate"
+        else:
+            fate[i] = "kept"
+            kept.append(e)
+    return E, iterations, resid, fate
+
+
 def find_poles(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
                prescription: ResiduePrescription = ResiduePrescription.HALF,
-               sigma_mode: SigmaMode = SigmaMode.AUTO) -> list[ResonancePole]:
+               sigma_mode: SigmaMode = SigmaMode.AUTO,
+               dec: EigenDecomposition | None = None) -> list[ResonancePole]:
     """Locate all poles in a region: Newton polish of every rank-one seed
     (``perturbative_pole_seeds``: a resummed estimate per level of H_S and
-    each gap midpoint), keep the converged poles inside the region, then
-    drop duplicates.  The zeros of 1 + Sigma g follow the levels one by one,
-    so the seeds need no scan of the region.  Sorted by descending Re(E).
-    H_S is diagonalized once for the whole search.  A mode that ``bath``
-    cannot take (continued at s != 1), or a window whose real edges the mode
-    cannot evaluate Sigma at (continued at Re E <= 0, either mode beyond the
-    guard range), raises the bath's ParameterError up front; every seed then
-    lies where Sigma is defined."""
+    each gap midpoint), all seeds in one batched iteration, keep the
+    converged poles inside the region, then drop duplicates in seed order.
+    The zeros of 1 + Sigma g follow the levels one by one, so the seeds
+    need no scan of the region.  Sorted by descending Re(E).  H_S is
+    diagonalized once for the whole search, or not at all when ``dec`` is
+    given.  A mode that ``bath`` cannot take (continued at s != 1), or a
+    window whose real edges the mode cannot evaluate Sigma at (continued at
+    Re E <= 0, either mode beyond the guard range), raises the bath's
+    ParameterError up front; every seed then lies where Sigma is defined."""
     mode = sigma_mode.resolve(bath)
     self_energy_eval(bath, np.array([region.re_min, region.re_max]), prescription, mode)
-    dec = diagonalize(build_hamiltonian(model))
-    seeds = perturbative_pole_seeds(model, bath, region, prescription, mode, dec=dec)
-    poles: list[ResonancePole] = []
-    for seed in seeds:
-        try:
-            pole = refine_pole(model, bath, seed, prescription, mode, dec=dec)
-        except (ParameterError, NumericsError):
-            continue
-        if not pole.converged:
-            continue
-        E = pole.energy
-        if not (region.re_min - CLUSTER_TOL <= E.real <= region.re_max + CLUSTER_TOL):
-            continue
-        if not (region.im_min - CLUSTER_TOL <= E.imag <= region.im_max + CLUSTER_TOL):
-            continue
-        if any(abs(E - p.energy) < CLUSTER_TOL * (1.0 + abs(E)) for p in poles):
-            continue
-        poles.append(pole)
+    dec = _decomposition(model, dec)
+    E, iterations, resid, fate = _seed_fates(model, bath, region, prescription, mode, dec)
+    poles = [_resonance(model, bath, dec, complex(E[i]), int(iterations[i]), True,
+                        float(resid[i]))
+             for i in np.flatnonzero(fate == "kept")]
     poles.sort(key=lambda p: -p.energy.real)
     return poles

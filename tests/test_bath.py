@@ -25,6 +25,7 @@ from gaah.bath import (
     SigmaMode,
     _dispersive_part,
     _self_energy_slope,
+    _sigma_defined,
     self_energy,
     self_energy_closed_form,
     self_energy_eval,
@@ -480,6 +481,16 @@ class TestRationalSelfEnergy:
             if x < 0.0:
                 assert slope.imag == 0.0
 
+#: Every bath and mode pair Sigma takes: s = 1 in both modes, s != 1 on
+#: the real axis, and the bath off.
+MODE_CASES = [(BathParams(), SigmaMode.CONTINUED), (BathParams(), SigmaMode.REAL_AXIS),
+              (BathParams(s=0.75), SigmaMode.REAL_AXIS),
+              (BathParams(eta=0.0), SigmaMode.CONTINUED),
+              (BathParams(eta=0.0), SigmaMode.REAL_AXIS)]
+MODE_IDS = ["ohmic-continued", "ohmic-real-axis", "s0.75-real-axis",
+            "decoupled-continued", "decoupled-real-axis"]
+
+
 class TestSigmaMode:
     def test_auto_resolution(self):
         assert SigmaMode.AUTO.resolve(BathParams()) is SigmaMode.CONTINUED
@@ -500,6 +511,42 @@ class TestSigmaMode:
     def test_continued_requires_positive_real_part(self, bath):
         with pytest.raises(ParameterError, match="Re"):
             self_energy_eval(bath, -1.0 - 0.1j, HALF, SigmaMode.CONTINUED)
+
+    @pytest.mark.parametrize("b, mode", MODE_CASES, ids=MODE_IDS)
+    def test_domain_mask_is_where_eval_raises(self, b, mode):
+        # The batched pole polish drops a seed where the mask reads False,
+        # and refine_pole raises there: the two must be one rule.
+        guard = 10.0 * b.omega_c
+        xs = (-2.0 * guard, -guard, -1.0, -1e-300, 0.0, 1e-300, 2.9522, guard,
+              np.nextafter(guard, math.inf), math.nan, math.inf, -math.inf)
+        E = np.array([complex(x, y) for x in xs for y in (0.0, -0.1)])
+        defined = _sigma_defined(b, E, mode)
+        for point, flag in zip(E, defined):
+            try:
+                with np.errstate(invalid="ignore"):  # the nan point's Sigma
+                    self_energy_eval(b, np.array([point]), HALF, mode)
+                    self_energy_eval(b, point, HALF, mode)
+            except ParameterError:
+                assert not flag, point
+            else:
+                assert flag, point
+        assert defined.any() and (b.eta == 0.0 or not defined.all())
+
+    @pytest.mark.parametrize("b, mode", MODE_CASES, ids=MODE_IDS)
+    @pytest.mark.parametrize("p", [HALF, FULL])
+    def test_slope_of_an_array_is_the_slope_point_by_point(self, b, mode, p):
+        E = np.array([0.5 - 1e-3j, 2.9522 - 0.1j, 6.0, 30.0 - 1.0j, 95.0 - 1e-6j])
+        if mode is SigmaMode.REAL_AXIS:
+            E = np.append(E, [-0.5 - 0.1j, -95.0])
+        sigma = self_energy_eval(b, E, p, mode)
+        slopes = _self_energy_slope(b, E, sigma, p, mode)
+        assert slopes.shape == E.shape
+        # A scalar takes numpy's scalar arithmetic, which may round the
+        # complex division differently in the last bit, before the s = 1
+        # slope adds eta.
+        for x, sig, slope in zip(E, sigma, slopes):
+            alone = _self_energy_slope(b, complex(x), complex(sig), p, mode)
+            assert abs(slope - alone) <= 1e-15 * (b.eta + abs(alone))
 
     def test_continued_smooth_off_axis(self, bath):
         # Small excursions off the axis move the value only slightly.

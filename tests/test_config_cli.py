@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gaah.bath import ResiduePrescription, SigmaMode
-from gaah import cli, figures, oracle
+from gaah import cli, config, figures, oracle, spectrum
 from gaah.cli import main
 from gaah.config import (
     REGISTRY,
@@ -25,7 +28,10 @@ from gaah.config import (
 )
 from gaah.errors import ConfigError
 from gaah.dynamics import TimeGrid, Trajectory
+from gaah.model import diagonalize
 from gaah.output import fmt, sha256_of, write_summary_csv, write_trajectory_csv
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _read_csv(path):
@@ -228,6 +234,17 @@ class TestRegistryHelp:
         assert listed == set(REGISTRY)
 
 
+    def test_subcommand_help_survives_optimized_bytecode(self):
+        # python -OO strips docstrings, so no help text may come from one.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-OO", "-m", "gaah.cli", "--help"],
+                              env=env, check=True, capture_output=True, text=True,
+                              timeout=60)
+        listed = dict(re.findall(r"^    ([a-z]+) +(\S.*)$", done.stdout, re.M))
+        assert listed == {name: blurb for name, (_, blurb) in cli._HANDLERS.items()}
+
+
 class TestFmt:
     def test_values(self):
         assert fmt(True) == "true"
@@ -410,7 +427,7 @@ class TestCliErrors:
         def broken(cfg, out_dir, manifest):
             raise RuntimeError("disk vanished")
 
-        monkeypatch.setitem(cli._HANDLERS, "spectrum", broken)
+        monkeypatch.setitem(cli._HANDLERS, "spectrum", (broken, "fails"))
         with pytest.raises(RuntimeError, match="disk vanished"):
             main(["spectrum", "--out", str(tmp_path)])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -517,6 +534,22 @@ class TestCliSpectrumPolesSweepFig:
         assert float(rows[0][1]) == pytest.approx(-5.062298e-6, rel=1e-3)
         assert float(rows[0][3]) == pytest.approx(0.498776, abs=1e-4)
         assert float(rows[1][0]) == pytest.approx(2.882305, abs=1e-6)
+
+    @pytest.mark.parametrize("window", [[], ["--set", "poles.re_min=2.8",
+                                             "--set", "poles.re_max=3.0"]])
+    def test_poles_diagonalizes_once(self, tmp_path, capsys, monkeypatch, window):
+        # The default window and the search share one eigendecomposition.
+        calls = []
+
+        def counted(H):
+            calls.append(H.shape)
+            return diagonalize(H)
+
+        for module in (cli, config, spectrum):
+            monkeypatch.setattr(module, "diagonalize", counted)
+        assert main(["poles", "--out", str(tmp_path), *window]) == 0
+        assert calls == [(21, 21)]
+        capsys.readouterr()
 
     @pytest.mark.parametrize("sets", [
         [],

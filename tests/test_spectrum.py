@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import collections
 import warnings
 
 import numpy as np
@@ -139,18 +140,15 @@ def _grid_minima_loop(grid):
     return [e for _, e in seeds]
 
 
-def _grid_seeded_poles(model, bath, region, sigma_mode=SigmaMode.AUTO):
-    """Oracle: the retired search.  It polished the interior strict minima
-    of ln|det| on a 200x80 scan first and the rank-one seeds after them,
-    with find_poles' window filter and duplicate rule; sorted by descending
-    Re(E)."""
-    grid = scan_grid(model, bath, region, 200, 80, HALF, sigma_mode)
-    seeds = _grid_minima_loop(grid) + perturbative_pole_seeds(
-        model, bath, region, HALF, sigma_mode)
+def _polished_one_by_one(refine, model, bath, region, seeds, sigma_mode):
+    """Oracle: find_poles' filters over seeds that ``refine`` polishes one
+    at a time: a seed that raises, does not converge or lands outside the
+    window is dropped, and a pole within CLUSTER_TOL of an earlier seed's is
+    a duplicate; sorted by descending Re(E)."""
     poles = []
     for seed in seeds:
         try:
-            pole = refine_pole(model, bath, seed, HALF, sigma_mode)
+            pole = refine(model, bath, seed, HALF, sigma_mode)
         except (ParameterError, NumericsError, PrescriptionViolationError):
             continue
         E = pole.energy
@@ -162,6 +160,16 @@ def _grid_seeded_poles(model, bath, region, sigma_mode=SigmaMode.AUTO):
             poles.append(pole)
     poles.sort(key=lambda p: -p.energy.real)
     return poles
+
+
+def _grid_seeded_poles(model, bath, region, sigma_mode=SigmaMode.AUTO):
+    """Oracle: the retired search.  It polished the interior strict minima
+    of ln|det| on a 200x80 scan first and the rank-one seeds after them,
+    with find_poles' window filter and duplicate rule."""
+    grid = scan_grid(model, bath, region, 200, 80, HALF, sigma_mode)
+    seeds = _grid_minima_loop(grid) + perturbative_pole_seeds(
+        model, bath, region, HALF, sigma_mode)
+    return _polished_one_by_one(refine_pole, model, bath, region, seeds, sigma_mode)
 
 
 def _resummed_seeds(model, bath, region, prescription=HALF,
@@ -582,6 +590,42 @@ class TestRefinePole:
         fixed = self_consistent_pole(model, bath, 2.95 - 1e-5j)
         assert abs(newton - fixed) < 1e-9
 
+    def test_seed_outside_the_sigma_domain_raises_the_bath_error(self, model, bath):
+        with pytest.raises(ParameterError, match="continued self-energy needs Re"):
+            refine_pole(model, bath, -1.0 - 0.01j)
+        with pytest.raises(ParameterError, match="outside guard range"):
+            refine_pole(model, bath, 500.0 - 0.01j, HALF, SigmaMode.REAL_AXIS)
+
+    @pytest.mark.parametrize("case", [
+        (ModelParams(), BathParams(), SigmaMode.CONTINUED),
+        (ModelParams(), BathParams(eta=1.0), SigmaMode.CONTINUED),
+        (ModelParams(a=0.5, Delta=1.0), BathParams(), SigmaMode.REAL_AXIS),
+        (ModelParams(), BathParams(s=0.75), SigmaMode.REAL_AXIS),
+        (ModelParams(), BathParams(eta=0.0), SigmaMode.CONTINUED),
+    ], ids=["default", "eta1", "real-axis", "s0.75", "decoupled"])
+    def test_batched_polish_is_the_one_seed_call(self, case):
+        # Polishing seeds together changes no seed's arithmetic: each ends
+        # bit for bit where refine_pole takes it alone, after as many
+        # iterations, or raises there what the batch records as its fate.
+        # The wild seeds leave Sigma's domain or cross the real axis.
+        model, bath, mode = case
+        dec = diagonalize(build_hamiltonian(model))
+        seeds = perturbative_pole_seeds(model, bath, default_search_region(model),
+                                        HALF, mode, dec=dec)
+        seeds += [complex(x, y) for x in np.linspace(0.5, 4.0, 8) for y in (0.3, -1.0, -2.0)]
+        E, iterations, resid, fate = spectrum._polish(dec, bath, seeds, HALF, mode)
+        raised = {"domain": ParameterError, "violation": PrescriptionViolationError}
+        for i, seed in enumerate(seeds):
+            if fate[i] in raised:
+                with pytest.raises(raised[fate[i]]):
+                    refine_pole(model, bath, seed, HALF, mode, dec=dec)
+                continue
+            pole = refine_pole(model, bath, seed, HALF, mode, dec=dec)
+            assert (pole.energy, pole.iterations, pole.residual, pole.converged) == (
+                E[i], iterations[i], resid[i], fate[i] == "")
+        if bath.eta == 0.1 and mode is SigmaMode.CONTINUED:
+            assert set(fate) == {"", "domain", "violation"}
+
     def test_violation_error_payload(self):
         err = PrescriptionViolationError(1.0 + 0.5j)
         assert err.energy == 1.0 + 0.5j
@@ -673,16 +717,18 @@ class TestFindPoles:
           for key in ((0.0, 1.0, 0.1), (0.5, 0.5, 0.1), (0.5, 1.0, 0.1))],
         ((0.0, 2.5, 0.1), SigmaMode.REAL_AXIS, 0.75),
     ], ids=lambda c: "a{:g}-Delta{:g}-eta{:g}-{}-s{:g}".format(*c[0], c[1].value, c[2]))
-    def test_matches_the_stencil_newton(self, case, monkeypatch):
+    def test_matches_the_stencil_newton(self, case):
         # The analytic-Jacobian Newton on the deflated secular function finds
-        # the poles the retired five-point-stencil Newton on det M found.
+        # the poles the retired five-point-stencil Newton on det M found from
+        # the same seeds, polished one at a time.
         (a, delta, eta), sigma_mode, s = case
         model = ModelParams(a=a, Delta=delta)
         bath = BathParams(eta=eta, s=s)
         region = default_search_region(model)
         found = find_poles(model, bath, region, HALF, sigma_mode)
-        monkeypatch.setattr(spectrum, "refine_pole", _stencil_refine_pole)
-        expected = find_poles(model, bath, region, HALF, sigma_mode)
+        seeds = perturbative_pole_seeds(model, bath, region, HALF, sigma_mode)
+        expected = _polished_one_by_one(_stencil_refine_pole, model, bath, region,
+                                        seeds, sigma_mode)
         assert len(found) == len(expected) >= 2
         for p, q in zip(found, expected):
             assert abs(p.energy - q.energy) <= 1e-12 * (1.0 + abs(q.energy))
@@ -718,12 +764,26 @@ class TestFindPoles:
             assert abs(pole.energy.real - expected.real) <= 1e-12
             assert abs(pole.energy.imag - expected.imag) <= 1e-11 * abs(expected.imag)
 
+    @pytest.mark.parametrize("key, fates", [
+        ((0.0, 2.5, 0.1), {"kept": 10, "duplicate": 11}),
+        ((0.5, 6.0, 0.1), {"kept": 3, "duplicate": 3, "outside": 1}),
+    ])
+    def test_every_seed_has_a_recorded_fate(self, key, fates):
+        # Half the seeds or more polish onto a pole another seed found first.
+        a, delta, eta = key
+        model, bath = ModelParams(a=a, Delta=delta), BathParams(eta=eta)
+        dec = diagonalize(build_hamiltonian(model))
+        region = default_search_region(model, dec=dec)
+        *_, fate = spectrum._seed_fates(model, bath, region, HALF, SigmaMode.CONTINUED, dec)
+        assert collections.Counter(fate) == fates
+        assert len(find_poles(model, bath, region, dec=dec)) == fates["kept"]
+
     def test_continued_mode_off_ohmic_is_refused_up_front(self, model, monkeypatch):
         # The mode is checked once, not swallowed seed by seed.
         def refuse(*args, **kwargs):
-            raise AssertionError("a seed was refined")
+            raise AssertionError("a seed was polished")
 
-        monkeypatch.setattr(spectrum, "refine_pole", refuse)
+        monkeypatch.setattr(spectrum, "_polish", refuse)
         with pytest.raises(ParameterError, match="continued self-energy requires s = 1"):
             find_poles(model, BathParams(s=0.5), default_search_region(model),
                        HALF, SigmaMode.CONTINUED)
@@ -773,9 +833,9 @@ class TestFindPoles:
         # The window is checked once against Sigma's domain, before any seed:
         # the continued Sigma needs Re E > 0 on the whole window.
         def refuse(*args, **kwargs):
-            raise AssertionError("a seed was refined")
+            raise AssertionError("a seed was polished")
 
-        monkeypatch.setattr(spectrum, "refine_pole", refuse)
+        monkeypatch.setattr(spectrum, "_polish", refuse)
         region = PoleSearchRegion(re_min, re_max, -0.2, 0.0)
         with pytest.raises(ParameterError, match="continued self-energy needs Re"):
             find_poles(model, bath, region)

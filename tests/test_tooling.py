@@ -10,10 +10,11 @@ history of ``evolve`` must stay block-sized, and its block solve free of
 direct sums of block length, so that a long trajectory, the benchmark's
 largest op, keeps its cost; its CSV must be formatted in
 chunks, so that it keeps its memory; an Ohmic pole search must evaluate
-no dispersive integral, and its Newton slope no exponential integral, and a
+no dispersive integral, and its Newton slope no exponential integral, a
 non-Ohmic one must run no quadrature and build its table of bath modes
-once, so that the pole ops keep their cost; the oracle
-must never form the (N + M)-square full Hamiltonian, and its secular solve
+once, and any search must evaluate Sigma once per Newton round for all its
+seeds together, not once per seed, so that the pole ops keep their cost;
+the oracle must never form the (N + M)-square full Hamiltonian, and its secular solve
 must sum each block of roots over the poles near it alone, so that the
 oracle op keeps its cost.  No ``gaah`` command may load ``scipy.signal``,
 which brings ``scipy.stats`` and ``scipy.interpolate`` and most of the
@@ -266,6 +267,33 @@ def test_non_ohmic_pole_search_runs_no_quadrature(monkeypatch):
     poles = spectrum.find_poles(model, BathParams(s=0.75), spectrum.default_search_region(model))
     assert len(poles) >= 2
     assert gaah.bath._ray_modes.cache_info().misses == 1
+
+
+def test_pole_search_evaluates_sigma_per_round_not_per_seed(monkeypatch):
+    # The seeds are polished together: each Newton round evaluates Sigma
+    # once for every seed still iterating, and once more for those that
+    # halve their step.  One refinement per seed made 153 evaluations at the
+    # default point, one per seed and trial, while every pole stayed the same.
+    sizes = []
+    evaluate = spectrum.self_energy_eval
+
+    def counted(bath, E, *args):
+        sizes.append(np.size(E))
+        return evaluate(bath, E, *args)
+
+    monkeypatch.setattr(spectrum, "self_energy_eval", counted)
+    model, bath = ModelParams(), BathParams()
+    dec = diagonalize(build_hamiltonian(model))
+    region = spectrum.default_search_region(model, dec=dec)
+    seeds = spectrum.perturbative_pole_seeds(model, bath, region, dec=dec)
+    sizes.clear()
+    _, iterations, _, fate = spectrum._seed_fates(
+        model, bath, region, spectrum.ResiduePrescription.HALF, SigmaMode.CONTINUED, dec)
+    # Sigma at the levels that seed, at every seed to start the polish,
+    # then at most six trials (one step and five halvings) per round.
+    assert sizes[1] == len(seeds) == 21
+    assert len(sizes) <= 2 + 6 * iterations.max()
+    assert len(sizes) < 40
 
 
 def test_ohmic_self_energy_slope_costs_no_exponential_integral(monkeypatch):
