@@ -36,8 +36,10 @@ sign columns for the zero-contour crossing view.  Its headers carry every
 model and bath parameter and the two pole-search settings.  It takes no
 initial state.
 
-Scaled runs (t = 200, dt = 0.02) keep a full bundle under a minute; the
-``full`` flag switches to the long-horizon runs (t = 1200, dt = 0.01).
+Scaled runs use t = 200, dt = 0.02: every bundle at once
+(``fig.bundle=all``) takes about 2-2.5 s as a whole command, on one core of
+a 2-core Xeon VM.  The ``full`` flag switches to the long-horizon runs
+(t = 1200, dt = 0.01).
 The strong-coupling comparisons of fig3 use dt = 0.005 in scaled mode
 because eta = 0.5 needs the finer step for quantitative accuracy.
 """

@@ -49,8 +49,9 @@ import numpy as np
 
 from .bath import BathParams, check_kernel_cut, spectral_density
 from .dynamics import TimeGrid, Trajectory, _checked_state, observables, prefixed
-# The scalar observables stay importable from this module: perfbench traces
-# the oracle's observables by rebinding these names.
+# The scalar observables stay importable from this module only so that the
+# benchmark's patch targets for them resolve: nothing here calls them, so
+# that trace reads 0.
 from .dynamics import ipr, position_variance, survival_probability  # noqa: F401
 from .errors import NumericsError, ParameterError
 from .model import ModelParams, build_hamiltonian

@@ -219,28 +219,24 @@ def scan_grid(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
               n_re: int = 200, n_im: int = 80,
               prescription: ResiduePrescription = ResiduePrescription.HALF,
               sigma_mode: SigmaMode = SigmaMode.AUTO) -> DeterminantGrid:
-    """Sample ln|det M(E)| over the region, one row of constant Im E at a
-    time, for the determinant landscapes of the figure data.  Under the
-    real-axis mode the self-energy depends only on Re(E), so it is taken
-    once per column: n_re evaluations of Sigma, in closed form at s = 1
-    and as a rational sum over the bath's ray modes at s != 1.  The
-    continued mode takes the closed form for a whole row at once."""
+    """Sample ln|det M(E)| over the region, for the determinant landscapes of
+    the figure data.  Sigma is taken once per scan, in one call: for the
+    whole grid when continued, and once per column under the real-axis
+    mode, where it depends only on Re(E) (the closed form at s = 1, the
+    rotated-ray sum at s != 1).  The determinant is then formed one row of
+    constant Im E at a time."""
     if n_re < 2 or n_im < 2:
         raise ParameterError("grid needs at least 2 points per axis")
     dec = diagonalize(build_hamiltonian(model))
     mode = sigma_mode.resolve(bath)
     re = np.linspace(region.re_min, region.re_max, n_re)
     im = np.linspace(region.im_min, region.im_max, n_im)
-    if mode is SigmaMode.REAL_AXIS:
-        sigma = self_energy_eval(bath, re, prescription, mode)
-    out = np.empty((n_im, n_re))
-    ph = np.empty((n_im, n_re), dtype=complex)
-    for i, y in enumerate(im):
-        E = re + 1j * y
-        if mode is not SigmaMode.REAL_AXIS:
-            sigma = self_energy_eval(bath, E, prescription, mode)
-        out[i], ph[i] = _secular_scaled(dec, E, sigma)
-    return DeterminantGrid(re=re, im=im, log_abs=out, phase=ph)
+    E = re + 1j * im[:, None]
+    sigma = self_energy_eval(bath, re if mode is SigmaMode.REAL_AXIS else E,
+                             prescription, mode)
+    rows = [_secular_scaled(dec, e, sig) for e, sig in zip(E, np.broadcast_to(sigma, E.shape))]
+    return DeterminantGrid(re=re, im=im, log_abs=np.array([r[0] for r in rows]),
+                           phase=np.array([r[1] for r in rows]))
 
 
 def perturbative_pole_seeds(model: ModelParams, bath: BathParams,

@@ -6,8 +6,8 @@ pole search reports poles, not beat frequencies; these helpers give the
 tests the kernel itself, the subtracted principal-value quadrature of the
 dispersive self-energy, the step-by-step recursion of the integrator with a
 direct history sum (in float64 or in extended precision), a dt-halving check,
-the beat frequency between two poles and the pole search's seeds level by
-level.
+the beat frequency between two poles, the pole search's seeds level by
+level and the determinant scan row by row.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from gaah.bath import (BathParams, ResiduePrescription, SigmaMode, check_kernel_
 from gaah.dynamics import NORM_BLOWUP, TimeGrid, evolve, survival_probability
 from gaah.errors import NumericsError, ParameterError, UnstableEvolutionError
 from gaah.model import EigenDecomposition, ModelParams, build_hamiltonian, diagonalize
-from gaah.spectrum import (PoleSearchRegion, ResonancePole, _deflated_secular,
-                           collective_weights)
+from gaah.spectrum import (DeterminantGrid, PoleSearchRegion, ResonancePole,
+                           _deflated_secular, _secular_scaled, collective_weights)
 
 
 def memory_kernel(b: BathParams, t, omega_max: float = math.inf):
@@ -239,3 +239,26 @@ def seeds_level_by_level(model: ModelParams, bath: BathParams, region: PoleSearc
         if region.re_min <= mid <= region.re_max:
             seeds.append(complex(mid))
     return seeds
+
+
+def scan_grid_row_by_row(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
+                         n_re: int = 200, n_im: int = 80,
+                         prescription: ResiduePrescription = ResiduePrescription.HALF,
+                         sigma_mode: SigmaMode = SigmaMode.AUTO) -> DeterminantGrid:
+    """The determinant scan with Sigma taken row by row: once per column
+    under the real-axis mode, and once per row of constant Im E when
+    continued."""
+    dec = diagonalize(build_hamiltonian(model))
+    mode = sigma_mode.resolve(bath)
+    re = np.linspace(region.re_min, region.re_max, n_re)
+    im = np.linspace(region.im_min, region.im_max, n_im)
+    if mode is SigmaMode.REAL_AXIS:
+        sigma = self_energy_eval(bath, re, prescription, mode)
+    out = np.empty((n_im, n_re))
+    ph = np.empty((n_im, n_re), dtype=complex)
+    for i, y in enumerate(im):
+        E = re + 1j * y
+        if mode is not SigmaMode.REAL_AXIS:
+            sigma = self_energy_eval(bath, E, prescription, mode)
+        out[i], ph[i] = _secular_scaled(dec, E, sigma)
+    return DeterminantGrid(re=re, im=im, log_abs=out, phase=ph)

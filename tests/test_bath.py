@@ -263,16 +263,32 @@ class TestSelfEnergy:
         with pytest.raises(ParameterError, match="guard"):
             self_energy_closed_form(bath, -150.0)
 
-    @pytest.mark.parametrize("real_axis", [False, True])
-    def test_closed_form_array_matches_scalar_calls(self, bath, real_axis):
+    @pytest.mark.parametrize("s, real_axis", [(1.0, False), (1.0, True), (0.5, False)],
+                             ids=["ohmic", "ohmic-real-E", "s0.5-real-axis"])
+    @pytest.mark.parametrize("p", [HALF, FULL])
+    def test_closed_form_array_matches_scalar_calls(self, s, real_axis, p):
+        # E of any shape, a 0-d array, a list, a 1-d or a 2-d array, gives
+        # at each point what that point gives alone.  Off s = 1 the route is
+        # the real-axis rotated-ray sum, with the same shape rule and, row by
+        # row, the same arithmetic; numpy's scalar complex arithmetic may
+        # round the closed form differently in the last bit.
+        b = BathParams(s=s)
+
+        def route(E):
+            if s == 1.0:
+                return self_energy_closed_form(b, E, p)
+            return self_energy_eval(b, E, p, SigmaMode.REAL_AXIS)
+
         E = np.array([[-5.0, 0.0, 1e-6 - 0.1j], [2.9522 - 1e-5j, 6.0 + 0.2j, 99.0]])
         if real_axis:
             E = E.real
-        out = self_energy_closed_form(bath, E, FULL)
-        assert out.shape == E.shape
-        for e, value in zip(E.ravel(), out.ravel()):
-            expected = self_energy_closed_form(bath, complex(e), FULL)
-            assert value == pytest.approx(expected, rel=1e-15, abs=1e-15)
+        for shaped in (np.array(E[1, 0]), E[1].tolist(), E[0], E):
+            out = route(shaped)
+            assert np.shape(out) == np.shape(shaped)
+            for e, value in zip(np.ravel(shaped), np.ravel(out)):
+                alone = route(complex(e))
+                assert value == (alone if s != 1.0 else pytest.approx(alone, rel=1e-15,
+                                                                      abs=1e-15))
 
     def test_closed_form_residue_term_on_the_real_axis(self, bath):
         # On the real axis the continued spectral density is J(x) itself.

@@ -37,9 +37,10 @@ from gaah.spectrum import (
     state_overlap,
 )
 
-from helpers import seeds_level_by_level, transition_frequency
+from helpers import scan_grid_row_by_row, seeds_level_by_level, transition_frequency
 
 HALF = ResiduePrescription.HALF
+FULL = ResiduePrescription.FULL
 
 # The two longest-lived default-lattice poles (a = 0, Delta = 2.5, eta = 0.1).
 POLE_1 = 2.952238 - 5.062298e-6j
@@ -520,6 +521,18 @@ class TestScanGrid:
             ours, theirs = getattr(grid.phase, part), getattr(phase, part)
             clear = np.abs(theirs) > 1e-8
             assert np.all(np.sign(ours[clear]) == np.sign(theirs[clear]))
+
+    @pytest.mark.parametrize("b, sigma_mode", [
+        (BathParams(), SigmaMode.AUTO), (BathParams(), SigmaMode.REAL_AXIS),
+        (BathParams(s=0.5), SigmaMode.AUTO)], ids=["ohmic", "ohmic-real-axis", "s0.5"])
+    def test_sigma_once_per_scan_changes_no_grid_value(self, model, b, sigma_mode):
+        # Sigma is taken for the whole scan in one call; row by row it gave
+        # the same grid, bit for bit.
+        region = default_search_region(model)
+        grid = scan_grid(model, b, region, prescription=FULL, sigma_mode=sigma_mode)
+        rows = scan_grid_row_by_row(model, b, region, prescription=FULL, sigma_mode=sigma_mode)
+        assert np.array_equal(grid.log_abs, rows.log_abs)
+        assert np.array_equal(grid.phase, rows.phase)
 
     def test_decoupled_crossings_at_top_eigenvalue(self, model, eig):
         # Window narrow enough to hold exactly one closed-system level (the

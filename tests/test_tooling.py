@@ -11,8 +11,9 @@ direct sums of block length, so that a long trajectory, the benchmark's
 largest op, keeps its cost; its CSV must be formatted in
 chunks, so that it keeps its memory; an Ohmic pole search must evaluate
 no dispersive integral, and its Newton slope no exponential integral, a
-non-Ohmic one must run no quadrature and build its table of bath modes
-once, and any search must evaluate Sigma once per Newton round for all its
+non-Ohmic search or landscape must run no quadrature, build its table of
+bath modes once and sum over it per array of points, not point by point,
+and any search must evaluate Sigma once per Newton round for all its
 seeds together, not once per seed, so that the pole ops keep their cost;
 the oracle must never form the (N + M)-square full Hamiltonian, and its secular solve
 must sum each block of roots over the poles near it alone, so that the
@@ -251,8 +252,13 @@ def test_non_ohmic_pole_search_runs_no_quadrature(monkeypatch):
     # table of rotated-ray bath modes.  An adaptive principal-value
     # quadrature per Newton point, and two more for a central-difference
     # slope, made this search take 0.5-3 s while every pole stayed the same.
+    # The sum is taken for a whole array of points in one call: the search
+    # and the landscape never go point by point through the scalar sum.
     def refuse(*args, **kwargs):
         raise AssertionError("the s = 0.75 pole search ran a scipy.integrate routine")
+
+    def refuse_point(*args, **kwargs):
+        raise AssertionError("the s = 0.75 self-energy was summed point by point")
 
     for name in dir(scipy.integrate):
         if not name.startswith("_") and callable(getattr(scipy.integrate, name)):
@@ -261,11 +267,13 @@ def test_non_ohmic_pole_search_runs_no_quadrature(monkeypatch):
     for module in (gaah.bath, spectrum):
         assert not [value for value in vars(module).values()
                     if getattr(value, "__module__", "").startswith("scipy.integrate")]
+    monkeypatch.setattr(gaah.bath, "_dispersive_part", refuse_point)
     gaah.bath._ray_modes.cache_clear()
-    gaah.bath._dispersive_part.cache_clear()
-    model = ModelParams()
-    poles = spectrum.find_poles(model, BathParams(s=0.75), spectrum.default_search_region(model))
+    model, bath = ModelParams(), BathParams(s=0.75)
+    region = spectrum.default_search_region(model)
+    poles = spectrum.find_poles(model, bath, region)
     assert len(poles) >= 2
+    spectrum.scan_grid(model, bath, region, n_re=40, n_im=8)
     assert gaah.bath._ray_modes.cache_info().misses == 1
 
 
@@ -309,13 +317,13 @@ def test_ohmic_self_energy_slope_costs_no_exponential_integral(monkeypatch):
 
     from gaah import bath
     counted("expi", bath.expi)
-    counted("self_energy_closed_form", bath.self_energy_closed_form)
+    counted("_closed_form", bath._closed_form)
     model = ModelParams()
     for mode in (SigmaMode.CONTINUED, SigmaMode.REAL_AXIS):
         counts.clear()
         pole = spectrum.refine_pole(model, BathParams(), 2.95 - 1e-5j, sigma_mode=mode)
         assert pole.converged
-        assert counts["expi"] == counts["self_energy_closed_form"] > pole.iterations
+        assert counts["expi"] == counts["_closed_form"] > pole.iterations
 
 
 def test_oracle_never_forms_the_full_matrix(monkeypatch):
