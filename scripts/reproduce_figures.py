@@ -4,10 +4,11 @@
 Thin driver over ``gaah figdata``: one subdirectory per bundle, each with
 its own manifest.  By default the runs use the scaled grids (shorter
 horizon, coarser step); pass ``--full`` for the long-horizon grids
-(t = 1200, dt = 0.01).  On one core of a 2-core Xeon VM the scaled set
-takes 2-2.5 s and the full set 11-13.5 s: 23 trajectories of about 0.5 s
-each at t = 1200, dt = 0.01 (about 0.17 s integrating and 0.26 s writing
-the CSV), about 335 MB of CSV and a peak RSS of about 80 MB.
+(t = 1200, dt = 0.01), which sets ``fig.full`` in each run.  On one core
+of a 2-core Xeon VM the scaled set takes 2-2.5 s and the full set
+11-13.5 s: 23 trajectories of about 0.5 s each at t = 1200, dt = 0.01
+(about 0.17 s integrating and 0.26 s writing the CSV), about 335 MB of CSV
+and a peak RSS of about 80 MB.
 
 Usage:
     python3 scripts/reproduce_figures.py [--out DIR] [--full] [--bundle NAME ...]
@@ -21,7 +22,7 @@ import time
 from pathlib import Path
 
 from gaah.cli import main as gaah_main
-from gaah.figures import BUNDLES
+from gaah.config import BUNDLES
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -39,10 +40,8 @@ def main(argv: list[str] | None = None) -> int:
     overall = 0
     for name in names:
         target = parent / name
-        argv_one = ["figdata", "--out", str(target),
-                    "--set", f"fig.bundle={name}"]
-        if args.full:
-            argv_one.append("--full")
+        argv_one = ["figdata", "--out", str(target), "--set", f"fig.bundle={name}",
+                    "--set", f"fig.full={str(args.full).lower()}"]
         print(f"== {name} -> {target}", flush=True)
         start = time.monotonic()
         code = gaah_main(argv_one)

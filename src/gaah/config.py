@@ -93,6 +93,10 @@ def _positive(v) -> bool:
     return v > 0
 
 
+#: The figure-data bundles ``fig.bundle`` names, besides "all".
+BUNDLES = ("fig1", "fig2", "fig3", "figA1", "figA2")
+
+
 _MODEL, _BATH = ModelParams(), BathParams()
 
 _KEYS = [
@@ -115,6 +119,8 @@ _KEYS = [
             check=_positive, constraint="must be > 0"),
     KeySpec("grid.t_max", "float", 200.0, "evolution horizon",
             check=_positive, constraint="must be > 0"),
+]
+_KEYS += [
     KeySpec("init.state", "str", "es",
             "initial state: es (highest excited), uniform, or site:<n>"),
     KeySpec("poles.prescription", "choice", "half",
@@ -142,14 +148,17 @@ _KEYS = [
             check=_positive, constraint="must be > 0"),
     KeySpec("oracle.t_max", "float", 50.0, "comparison horizon",
             check=_positive, constraint="must be > 0"),
-    KeySpec("sweep.parameter", "str", "model.Delta",
-            "config key swept by the sweep subcommand"),
+    # Any numeric key a trajectory reads: the model.*, bath.* and grid.*
+    # keys, all listed before this block.
+    KeySpec("sweep.parameter", "choice", "model.Delta",
+            "config key swept by the sweep command",
+            choices=tuple(spec.name for spec in _KEYS if spec.kind in ("int", "float")
+                          and spec.name.partition(".")[0] in ("model", "bath", "grid"))),
     KeySpec("sweep.values", "float_list", (1.0, 2.5, 6.0),
             "comma-separated sweep values"),
     KeySpec("output.dir", "str", "gaah-out", "output directory"),
-    # A literal: figures imports config, so config cannot read figures.BUNDLES.
     KeySpec("fig.bundle", "choice", "fig1", "figure-data bundle to emit",
-            choices=("fig1", "fig2", "fig3", "figA1", "figA2", "all")),
+            choices=(*BUNDLES, "all")),
     KeySpec("fig.full", "bool", False,
             "emit full-length trajectories (t=1200, dt=0.01) instead of the scaled runs"),
 ]

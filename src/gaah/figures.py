@@ -1,6 +1,8 @@
 """Named figure-data bundles.
 
 Each bundle emits the plot-ready CSV files for one figure of the study.
+The bundle names, ``BUNDLES``, are written once, in ``config``, whose
+``fig.bundle`` key takes them (or ``all``) as its choices.
 Four of them are trajectory bundles, rows of the table ``_TRAJECTORIES``:
 
 * ``fig1``  -- survival probability and participation ratio at a = 0 for
@@ -38,8 +40,8 @@ initial state.
 
 Scaled runs use t = 200, dt = 0.02: every bundle at once
 (``fig.bundle=all``) takes about 2-2.5 s as a whole command, on one core of
-a 2-core Xeon VM.  The ``full`` flag switches to the long-horizon runs
-(t = 1200, dt = 0.01).
+a 2-core Xeon VM.  The ``full`` argument, the ``fig.full`` key, switches
+to the long-horizon runs (t = 1200, dt = 0.01).
 The strong-coupling comparisons of fig3 use dt = 0.005 in scaled mode
 because eta = 0.5 needs the finer step for quantitative accuracy.
 """
@@ -52,14 +54,12 @@ from dataclasses import replace
 import numpy as np
 
 from .bath import BathParams
-from .config import REGISTRY, RunConfig
+from .config import BUNDLES, REGISTRY, RunConfig
 from .dynamics import TimeGrid, evolve, prefixed
 from .errors import ConfigError, ParameterError
 from .model import ModelParams, build_hamiltonian, diagonalize, highest_excited_state
 from .output import write_determinant_grid_csv, write_summary_csv, write_trajectory_csv
 from .spectrum import PoleSearchRegion, scan_grid
-
-BUNDLES = ("fig1", "fig2", "fig3", "figA1", "figA2")
 
 
 def _panels(name: str, a: float, panels: dict[str, tuple[float, ...]]) -> tuple:

@@ -33,13 +33,14 @@ level k nearest E factored out, which stays finite on that level and at
 eta = 0.  The determinant is prod_{m != k} (lambda_m - E) * h, the Newton
 polish drives h to zero, and the seeds are one fixed-Sigma Newton step of h
 from each level: the zeros of F sit one per level of H_S, so
-``find_poles`` polishes those seeds plus each gap midpoint and needs no
-scan of the window.  It polishes them all at once: each Newton round is a
-handful of array operations over the seeds still iterating, with one
-evaluation of Sigma for all of them, while each seed keeps its own step,
-iteration count and outcome.  ``refine_pole`` is the same iteration on one
-seed.  Null vectors are formed for the kept poles alone.  ``scan_grid``
-samples the determinant landscape for the figure data only.
+``find_poles`` polishes those seeds plus each gap midpoint, over every gap
+that meets the window, and needs no scan of it.  It polishes them all at
+once: each Newton round is a handful of array operations over the seeds
+still iterating, with one evaluation of Sigma for all of them, while each
+seed keeps its own step, iteration count and outcome.  ``refine_pole`` is
+the same iteration on one seed.  Null vectors are formed for the kept
+poles alone.  ``scan_grid`` samples the determinant landscape for the
+figure data only.
 
 The secular form is the only route that ships.  The dense matrix M(E), its
 LU determinant, inverse iteration for the null vector, the sign-crossing
@@ -255,26 +256,36 @@ def perturbative_pole_seeds(model: ModelParams, bath: BathParams,
     collective weights reach w ~ 20, so the bare first-order shift
     w_k * Sigma can be wildly wrong.  One seed per eigenstate also keeps the
     members of a near-degenerate doublet apart, which a grid coarser than
-    their splitting would merge.  The levels in the window take one
-    evaluation of Sigma and of h together; the window must lie in Sigma's
-    domain (as :func:`find_poles` checks), or that evaluation raises
-    ParameterError.
+    their splitting would merge.
 
     On top of the per-eigenstate estimates the midpoints of consecutive
     eigenvalues are seeded as well: the zeros of 1 + Sigma * g interlace the
     lambda_m, so each gap holds at most one pole and the midpoint is a safe
     basin for the Newton polish even where the per-state estimate drifts to
-    a neighbouring gap.  Neither family can go: at the table points, the
-    level seeds alone lose 13 of 200 poles and the midpoints alone 24.
+    a neighbouring gap.  Neither family can go: at the 12 table points in
+    both modes, the level seeds alone lose 13 of 200 poles and the
+    midpoints alone 24, over the seed range below as over the window's
+    levels alone.
+
+    Both families cover every gap that meets the window: the levels from
+    the last one below ``re_min`` through the first one above ``re_max``,
+    and the midpoints between consecutive ones.  A pole shifted into the
+    window from a level just outside it thus gets its seeds too; the search
+    drops what lands outside.  Each family is kept where Sigma is defined
+    (``bath._sigma_defined``), and the levels take one evaluation of Sigma
+    and of h together.
     """
     dec = _decomposition(model, dec)
     lam, w = dec.energies, collective_weights(dec)
-    k = np.flatnonzero((region.re_min <= lam) & (lam <= region.re_max))
+    lo = max(int(np.searchsorted(lam, region.re_min)) - 1, 0)
+    hi = min(int(np.searchsorted(lam, region.re_max, side="right")), lam.size - 1)
+    k = np.arange(lo, hi + 1)
+    k = k[_sigma_defined(bath, lam[k], sigma_mode)]
     E = lam[k].astype(complex)
     sigma = self_energy_eval(bath, E, prescription, sigma_mode)
     h, h_E, _ = _deflated_secular(lam, w, E, sigma, k)
-    mid = 0.5 * (lam[:-1] + lam[1:])
-    mid = mid[(region.re_min <= mid) & (mid <= region.re_max)]
+    mid = 0.5 * (lam[lo:hi] + lam[lo + 1:hi + 1])
+    mid = mid[_sigma_defined(bath, mid, sigma_mode)]
     return [complex(z) for z in E - h / h_E] + [complex(z) for z in mid]
 
 
@@ -313,9 +324,13 @@ def null_vector(model: ModelParams, bath: BathParams, energy: complex,
 
 
 def state_overlap(vector: np.ndarray, state: np.ndarray) -> float:
-    """|<state|vector>|^2 with both sides normalized."""
-    v = np.asarray(vector) / np.linalg.norm(vector)
-    s = np.asarray(state) / np.linalg.norm(state)
+    """|<state|vector>|^2 with both sides normalized; a zero side is a
+    ParameterError."""
+    v_norm, s_norm = np.linalg.norm(vector), np.linalg.norm(state)
+    if v_norm == 0.0 or s_norm == 0.0:
+        raise ParameterError("cannot normalize a zero vector")
+    v = np.asarray(vector) / v_norm
+    s = np.asarray(state) / s_norm
     return float(np.abs(np.vdot(s, v)) ** 2)
 
 
@@ -484,8 +499,10 @@ def find_poles(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
                dec: EigenDecomposition | None = None) -> list[ResonancePole]:
     """Locate all poles in a region: Newton polish of every rank-one seed
     (``perturbative_pole_seeds``: a resummed estimate per level of H_S and
-    each gap midpoint), all seeds in one batched iteration, keep the
-    converged poles inside the region, then drop duplicates in seed order.
+    each gap midpoint, over every gap that meets the region, so the level
+    just outside each real edge is seeded too), all seeds in one batched
+    iteration, keep the converged poles inside the region, then drop
+    duplicates in seed order.
     The zeros of 1 + Sigma g follow the levels one by one, so the seeds
     need no scan of the region.  Sorted by descending Re(E).  H_S is
     diagonalized once for the whole search, or not at all when ``dec`` is

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import quad
 from scipy.special import gamma
 
@@ -217,16 +218,18 @@ def transition_frequency(pole_a: complex | ResonancePole,
 def seeds_level_by_level(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
                          prescription: ResiduePrescription = ResiduePrescription.HALF,
                          sigma_mode: SigmaMode = SigmaMode.AUTO) -> list[complex]:
-    """The pole search's seeds one level at a time: the resummed Newton step
-    of the secular function from each level in the window (a level where
-    Sigma cannot be evaluated gives none), then each gap midpoint in the
-    window."""
+    """The pole search's seeds one level at a time, over the levels from the
+    last one below the window through the first one above it: the resummed
+    Newton step of the secular function from each level (a level where
+    Sigma cannot be evaluated gives none), then the midpoint of each gap
+    between them where Sigma can be."""
     dec = diagonalize(build_hamiltonian(model))
     lam, w = dec.energies, collective_weights(dec)
-    seeds = []
-    for k in range(model.N):
-        if not region.re_min <= lam[k] <= region.re_max:
-            continue
+    below = [k for k in range(model.N) if lam[k] < region.re_min]
+    above = [k for k in range(model.N) if lam[k] > region.re_max]
+    levels = range(below[-1] if below else 0, above[0] + 1 if above else model.N)
+    seeds, mids = [], []
+    for k in levels:
         E = complex(lam[k])
         try:
             sigma = self_energy_eval(bath, E, prescription, sigma_mode)
@@ -234,11 +237,14 @@ def seeds_level_by_level(model: ModelParams, bath: BathParams, region: PoleSearc
             continue
         h, h_E, _ = _deflated_secular(lam, w, E, sigma, k)
         seeds.append(complex(E - h / h_E))
-    for k in range(model.N - 1):
+    for k in levels[:-1]:
         mid = 0.5 * (lam[k] + lam[k + 1])
-        if region.re_min <= mid <= region.re_max:
-            seeds.append(complex(mid))
-    return seeds
+        try:
+            self_energy_eval(bath, mid, prescription, sigma_mode)
+        except ParameterError:
+            continue
+        mids.append(complex(mid))
+    return seeds + mids
 
 
 def scan_grid_row_by_row(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
@@ -262,3 +268,38 @@ def scan_grid_row_by_row(model: ModelParams, bath: BathParams, region: PoleSearc
             sigma = self_energy_eval(bath, E, prescription, mode)
         out[i], ph[i] = _secular_scaled(dec, E, sigma)
     return DeterminantGrid(re=re, im=im, log_abs=out, phase=ph)
+
+
+#: A pole with Im E at or above -ROTATED_IM_TOL counts as real: the
+#: rotated-bath oracle keeps, and is compared on, the poles below it.
+ROTATED_IM_TOL = 1e-13
+
+
+def rotated_bath_poles(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
+                       h: float = 0.1, xi_lo: float = -18.0) -> list[complex]:
+    """The FULL-prescription poles in ``region`` as eigenvalues of
+    H_eff = [[H_S, 1 g^T], [g 1^T, diag omega]], an oracle that shares no
+    step with the pole search.
+
+    The bath modes sit on the ray omega_j = omega_c e^{z_j},
+    z_j = xi_j - i pi/4, with xi_j = xi_lo + h j up to ln(2 (s + 30)) (222
+    modes at s = 1), and g_j^2 = h eta omega_c^2 e^{(s+1) z_j - e^{z_j}}:
+    the trapezoid rule for int J(w) / (E - w) dw rotated onto the ray, which
+    continues Sigma to the second sheet above it.  Kept are the eigenvalues
+    in the window, below Im E = -ROTATED_IM_TOL and off the ray's own
+    eigenvalues (|arg E + pi/4| > 0.05), by descending Re E.
+    """
+    theta = math.pi / 4.0
+    K = int((math.log(2.0 * (bath.s + 30.0)) - xi_lo) / h) + 1
+    z = xi_lo + h * np.arange(K) - 1j * theta
+    g = np.sqrt(h * bath.eta * bath.omega_c ** 2 * np.exp((bath.s + 1.0) * z - np.exp(z)))
+    N = model.N
+    H = np.zeros((N + K, N + K), dtype=complex)
+    H[:N, :N] = build_hamiltonian(model)
+    H[:N, N:], H[N:, :N] = g, g[:, None]
+    H[N:, N:] = np.diag(bath.omega_c * np.exp(z))
+    E = scipy.linalg.eigvals(H)
+    keep = ((region.re_min <= E.real) & (E.real <= region.re_max)
+            & (region.im_min <= E.imag) & (E.imag < -ROTATED_IM_TOL)
+            & (np.abs(np.angle(E) + theta) > 0.05))
+    return sorted(E[keep], key=lambda e: -e.real)

@@ -406,7 +406,8 @@ class TestCliErrors:
     def test_non_numeric_sweep_parameter(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path),
                      "--set", "sweep.parameter=init.state"]) == 2
-        assert "not numeric" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "sweep.parameter: must be one of model.N, " in err and "got 'init.state'" in err
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "config-error"
 
@@ -417,7 +418,8 @@ class TestCliErrors:
                    "--set", f"sweep.parameter={key}", "--set", "sweep.values=1,2",
                    "--set", "grid.dt=0.02", "--set", "grid.t_max=2"])
         assert rc == 2
-        assert f"no trajectory reads {key!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "sweep.parameter: must be one of model.N, " in err and f"got {key!r}" in err
         assert not list(tmp_path.glob("sweep_*.csv"))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "config-error"

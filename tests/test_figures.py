@@ -14,7 +14,7 @@ import pytest
 
 from gaah import figures
 from gaah.bath import BathParams
-from gaah.config import REGISTRY, parse_config
+from gaah.config import parse_config
 from gaah.dynamics import TimeGrid, Trajectory, _run_metadata
 from gaah.errors import ParameterError
 from gaah.model import ModelParams
@@ -110,12 +110,6 @@ def test_all_is_every_bundle_in_order(fake_evolve, tmp_path, monkeypatch):
 def test_unknown_bundle_is_a_parameter_error(tmp_path):
     with pytest.raises(ParameterError, match="unknown bundle 'fig9'"):
         figures.build_bundle("fig9", _config(), str(tmp_path))
-
-
-def test_bundle_choices_match_the_bundles():
-    # config cannot import figures (the import would be circular), so the
-    # choice list is a copy that must follow BUNDLES.
-    assert REGISTRY["fig.bundle"].choices == (*figures.BUNDLES, "all")
 
 
 def _fake_scan(model, bath, region, n_re, n_im, prescription, sigma_mode):

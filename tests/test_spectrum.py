@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import cmath
 import collections
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -37,7 +39,8 @@ from gaah.spectrum import (
     state_overlap,
 )
 
-from helpers import scan_grid_row_by_row, seeds_level_by_level, transition_frequency
+from helpers import (ROTATED_IM_TOL, rotated_bath_poles, scan_grid_row_by_row,
+                     seeds_level_by_level, transition_frequency)
 
 HALF = ResiduePrescription.HALF
 FULL = ResiduePrescription.FULL
@@ -177,25 +180,33 @@ def _resummed_seeds(model, bath, region, prescription=HALF,
                     sigma_mode=SigmaMode.AUTO):
     """Oracle: the per-level seeds in their first-order form,
     lambda_k + w_k Sigma / (1 + Sigma g_reg), with g_reg the resolvent at
-    lambda_k without its own level (np.delete), then the gap midpoints."""
+    lambda_k without its own level (np.delete), summed exactly (math.fsum:
+    where its terms cancel, a plain sum errs by more than the search's
+    seed), then the gap midpoints; both over the levels from the last
+    below the window through the first above it, where Sigma can be
+    evaluated."""
     dec = diagonalize(build_hamiltonian(model))
     w = collective_weights(dec)
     lam = dec.energies
-    seeds = []
-    for k in range(model.N):
-        if not region.re_min <= lam[k] <= region.re_max:
-            continue
+    below = [k for k in range(model.N) if lam[k] < region.re_min]
+    above = [k for k in range(model.N) if lam[k] > region.re_max]
+    levels = range(below[-1] if below else 0, above[0] + 1 if above else model.N)
+    seeds, mids = [], []
+    for k in levels:
         try:
             sig = self_energy_eval(bath, complex(lam[k]), prescription, sigma_mode)
         except ParameterError:
             continue
-        g_reg = complex(np.sum(np.delete(w, k) / (np.delete(lam, k) - lam[k])))
+        g_reg = math.fsum(np.delete(w, k) / (np.delete(lam, k) - lam[k]))
         seeds.append(complex(lam[k]) + w[k] * sig / (1.0 + sig * g_reg))
-    for k in range(model.N - 1):
+    for k in levels[:-1]:
         mid = 0.5 * (lam[k] + lam[k + 1])
-        if region.re_min <= mid <= region.re_max:
-            seeds.append(complex(mid))
-    return seeds
+        try:
+            self_energy_eval(bath, mid, prescription, sigma_mode)
+        except ParameterError:
+            continue
+        mids.append(complex(mid))
+    return seeds + mids
 
 
 def _inverse_iteration_null_vector(model, bath, E, prescription=HALF,
@@ -779,7 +790,7 @@ class TestFindPoles:
 
     @pytest.mark.parametrize("key, fates", [
         ((0.0, 2.5, 0.1), {"kept": 10, "duplicate": 11}),
-        ((0.5, 6.0, 0.1), {"kept": 3, "duplicate": 3, "outside": 1}),
+        ((0.5, 6.0, 0.1), {"kept": 3, "duplicate": 3, "outside": 3}),
     ])
     def test_every_seed_has_a_recorded_fate(self, key, fates):
         # Half the seeds or more polish onto a pole another seed found first.
@@ -790,6 +801,40 @@ class TestFindPoles:
         *_, fate = spectrum._seed_fates(model, bath, region, HALF, SigmaMode.CONTINUED, dec)
         assert collections.Counter(fate) == fates
         assert len(find_poles(model, bath, region, dec=dec)) == fates["kept"]
+
+    @pytest.mark.parametrize("eta, prescription, expected", [
+        (0.5, FULL, 7.128484 - 8.400e-3j), (0.5, HALF, 7.134729 - 9.737e-3j),
+        (1.0, FULL, 7.126104 - 4.210e-3j), (1.0, HALF, 7.129237 - 4.893e-3j),
+        (2.0, FULL, 7.124917 - 2.108e-3j), (2.0, HALF, 7.126487 - 2.452e-3j),
+    ], ids=[f"eta{eta:g}-{p}" for eta in (0.5, 1, 2) for p in ("full", "half")])
+    def test_pole_shifted_into_the_window_from_below(self, eta, prescription, expected):
+        # Its level lies below the default window, which starts at 7.107;
+        # seeded from the window's own levels and gaps, the search found 4
+        # poles and lost this one.
+        model, bath = ModelParams(a=0.0, Delta=10.0), BathParams(eta=eta)
+        poles = find_poles(model, bath, default_search_region(model), prescription)
+        assert len(poles) == 5
+        pole = min(poles, key=lambda p: abs(p.energy - expected)).energy
+        assert abs(pole - expected) <= 1e-6  # the table's rounding
+        assert abs(pole - self_consistent_pole(model, bath, pole, prescription)) <= 1e-9
+
+    def test_poles_are_the_rotated_bath_eigenvalues(self):
+        # The FULL poles in the window are the eigenvalues of the lattice
+        # plus the bath discretized on a rotated ray, one Im threshold on
+        # both sides: a search at N = 55 also returns poles at |Im E| ~ 1e-16.
+        count = 0
+        for a, delta, eta in itertools.product((0.0, 0.5), (1.0, 2.5, 4.0, 6.0, 10.0),
+                                               (0.1, 0.5, 1.0, 2.0)):
+            model, bath = ModelParams(a=a, Delta=delta), BathParams(eta=eta)
+            region = default_search_region(model)
+            expected = rotated_bath_poles(model, bath, region)
+            found = [p.energy for p in find_poles(model, bath, region, FULL)
+                     if p.energy.imag < -ROTATED_IM_TOL]
+            assert len(found) == len(expected), (a, delta, eta)
+            for e, ref in zip(found, expected):
+                assert abs(e - ref) <= 1e-13 * (1.0 + abs(ref))
+            count += len(found)
+        assert count == 259
 
     def test_continued_mode_off_ohmic_is_refused_up_front(self, model, monkeypatch):
         # The mode is checked once, not swallowed seed by seed.
@@ -874,6 +919,14 @@ class TestOverlapHelpers:
         assert state_overlap(a, a) == pytest.approx(1.0)
         assert state_overlap(a, b) == 0.0
         assert state_overlap(3.0 * a, a) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("zero_side", [0, 1])
+    def test_state_overlap_refuses_a_zero_vector(self, zero_side):
+        # It returned nan, with a RuntimeWarning, where state_ipr raises.
+        pair = [np.ones(3, dtype=complex), np.ones(3, dtype=complex)]
+        pair[zero_side][:] = 0.0
+        with pytest.raises(ParameterError, match="zero vector"):
+            state_overlap(*pair)
 
     def test_transition_frequency_accepts_raw_and_refined(self, model, bath):
         p = refine_pole(model, bath, 2.95 - 1e-5j)
