@@ -124,7 +124,7 @@ def _cmd_spectrum(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> in
 def _cmd_evolve(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
     traj = evolve(cfg.model, cfg.bath, cfg.initial_state(), cfg.grid)
     path = os.path.join(out_dir, "trajectory.csv")
-    write_trajectory_csv(traj, path, {"init.state": cfg.values["init.state"]})
+    write_trajectory_csv(traj, path, cfg.values)
     manifest.add_file(path)
     manifest.add_task("evolve", "ok")
     print(f"t_end: {fmt(cfg.grid.t_max)}  SP: {fmt(traj.sp[-1])}  "
@@ -205,12 +205,10 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
             raise ConfigError(f"sweep.values: {points[name][0]!r} and {value!r} "
                               f"both write {name}")
         points[name] = value, point
-    header = {"init.state": cfg.values["init.state"], "sweep.parameter": key}
     workers = min(len(points), os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {name: pool.submit(write_run, os.path.join(out_dir, name), header,
-                                     p.model, p.bath, p.initial_state(), p.grid)
-                   for name, (_, p) in points.items()}
+        futures = {name: pool.submit(write_run, os.path.join(out_dir, name), point)
+                   for name, (_, point) in points.items()}
         rows = []
         for name, future in futures.items():
             value, end = points[name][0], future.result()
@@ -218,7 +216,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, manifest: ManifestBuilder) -> int:
             rows.append({short: value, **end})
             print(f"{key} = {value:g}: SP({end['t_end']:g}) = {fmt(end['SP_end'])}")
     summary = os.path.join(out_dir, "sweep_summary.csv")
-    write_summary_csv(rows, summary)
+    write_summary_csv(rows, summary, cfg.values)
     manifest.add_file(summary)
     manifest.add_task("sweep", "ok", f"{len(points)} points over {key}")
     return 0

@@ -72,7 +72,7 @@ observables are computed one vectorized call per block.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -136,8 +136,9 @@ class TimeGrid:
 class Trajectory:
     """Recorded observables of one evolution run.
 
-    Every series has length ``grid.steps + 1``.  ``params`` is a flat
-    metadata snapshot sufficient to reproduce the run.
+    Every series has length ``grid.steps + 1``.  A trajectory holds data
+    only: what reproduces the run is its configuration, which the writers
+    take as the file's header.
     """
 
     grid: TimeGrid
@@ -146,7 +147,6 @@ class Trajectory:
     norm: np.ndarray
     variance: np.ndarray
     collective: np.ndarray
-    params: dict = field(default_factory=dict)
 
     def times(self) -> np.ndarray:
         return self.grid.times()
@@ -444,21 +444,7 @@ def evolve(model: ModelParams, bath: BathParams, init: np.ndarray, grid: TimeGri
         for name, value in values.items():
             series[name][a:b] = value
 
-    params = _run_metadata(model, bath, grid, kernel_omega_max)
-    return Trajectory(grid=grid, collective=S, params=params, **series)
-
-
-def prefixed(section: str, params) -> dict:
-    """``{section}.{field}: value`` for every field of a parameter dataclass,
-    in field order: the ``model.*`` and ``bath.*`` header lines."""
-    return {f"{section}.{key}": value for key, value in asdict(params).items()}
-
-
-def _run_metadata(model: ModelParams, bath: BathParams, grid: TimeGrid,
-                  kernel_omega_max: float) -> dict:
-    return {**prefixed("model", model), **prefixed("bath", bath),
-            "grid.dt": grid.dt, "grid.steps": grid.steps,
-            "solver.kernel_omega_max": kernel_omega_max}
+    return Trajectory(grid=grid, collective=S, **series)
 
 
 def beat_envelope(series: np.ndarray, dt: float, window: float = 5.0) -> np.ndarray:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathParams, check_kernel_cut, spectral_density
-from .dynamics import TimeGrid, Trajectory, _checked_state, observables, prefixed
+from .dynamics import TimeGrid, Trajectory, _checked_state, observables
 # The scalar observables stay importable from this module only so that the
 # benchmark's patch targets for them resolve: nothing here calls them, so
 # that trace reads 0.
@@ -482,9 +482,7 @@ def evolve_full(model: ModelParams, dbath: DiscreteBath, init: np.ndarray,
     evals, V_sys = arrowhead_eig(*_arrowhead_form(model, dbath))
     alphas = _propagate(evals, V_sys, init, grid)
     series = observables(alphas, init)
-    params = {**prefixed("model", model), "grid.dt": grid.dt, "grid.steps": grid.steps,
-              "oracle.modes": dbath.modes, "oracle.omega_max": dbath.omega_max}
-    return Trajectory(grid=grid, collective=alphas.sum(axis=1), params=params, **series)
+    return Trajectory(grid=grid, collective=alphas.sum(axis=1), **series)
 
 
 def compare_trajectories(a: Trajectory, b: Trajectory) -> float:

@@ -1,10 +1,13 @@
 """CSV and manifest emission.
 
 Every data file is self-describing: a block of ``# key = value`` comment
-lines carries the complete parameter set that produced it, followed by one
-CSV header row and the data.  Floats are written as their ``repr``, which in
-Python 3 is the shortest decimal string that round-trips the exact binary
-value, so re-ingesting a file loses nothing.
+lines, then one CSV header row and the data.  Each writer takes those lines
+as its ``params`` dict; gaah passes the complete configuration of the run
+that wrote the file (``RunConfig.values``) and nothing else, so every
+header parses back through ``config.parse_config_text`` to that run.
+Floats are written as their ``repr``, which in Python 3 is the shortest
+decimal string that round-trips the exact binary value, so re-ingesting a
+file loses nothing.
 
 The bulk of the data, trajectories and determinant grids, is formatted a
 block of rows at a time by ``_floatfmt.format_rows``.  It computes the same
@@ -117,9 +120,9 @@ def _csv_chunks(lines: list[str], columns: tuple[np.ndarray, ...],
 
 
 def write_trajectory_csv(traj: Trajectory, path: str,
-                         extra_params: dict | None = None) -> None:
-    """Columns t, SP, IPR, norm, variance, Re S, Im S; parameters as comments."""
-    lines = _head({**traj.params, **(extra_params or {})}, TRAJECTORY_COLUMNS)
+                         params: dict | None = None) -> None:
+    """Columns t, SP, IPR, norm, variance, Re S, Im S; ``params`` as comments."""
+    lines = _head(params or {}, TRAJECTORY_COLUMNS)
     columns = (traj.grid.times(), traj.sp, traj.ipr, traj.norm, traj.variance,
                traj.collective.real, traj.collective.imag)
     tails = np.broadcast_to(_NEWLINE, (len(columns[0]), 1))
@@ -155,10 +158,11 @@ def write_determinant_grid_csv(grid: DeterminantGrid, path: str,
     _atomic_write(path, _csv_chunks(lines, columns, tails))
 
 
-def write_summary_csv(rows: list[dict], path: str) -> None:
+def write_summary_csv(rows: list[dict], path: str,
+                      params: dict | None = None) -> None:
     """One line per row dict, columns in the first row's key order."""
     columns = list(rows[0])
-    _write_table(path, {}, columns, ([row[c] for c in columns] for row in rows))
+    _write_table(path, params or {}, columns, ([row[c] for c in columns] for row in rows))
 
 
 def _write_table(path: str, params: dict, columns, rows) -> None:
@@ -188,9 +192,8 @@ class ManifestBuilder:
     tasks: list[dict] = field(default_factory=list)
     files: list[str] = field(default_factory=list)
 
-    def add_file(self, path: str) -> str:
+    def add_file(self, path: str) -> None:
         self.files.append(path)
-        return path
 
     def add_task(self, name: str, status: str, detail: str = "") -> None:
         entry = {"name": name, "status": status}

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import (BathParams, ResiduePrescription, SigmaMode, _self_energy_slope,
-                   _sigma_defined, self_energy_eval)
+                   _check_domain, _sigma_defined, self_energy_eval)
 from .errors import NumericsError, ParameterError, PrescriptionViolationError
 from .model import (
     EigenDecomposition,
@@ -442,7 +442,7 @@ def refine_pole(model: ModelParams, bath: BathParams, seed: complex,
     E, iterations, resid, fate = _polish(dec, bath, [seed], prescription, mode)
     energy = complex(E[0])
     if fate[0] == "domain":
-        self_energy_eval(bath, energy, prescription, mode)  # raises Sigma's own error
+        _check_domain(bath, energy, mode)  # raises: the iterate is outside
     if fate[0] == "singular":
         raise NumericsError(f"singular Newton Jacobian near E = {energy}")
     if fate[0] == "violation":

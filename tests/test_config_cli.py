@@ -263,10 +263,9 @@ class TestTrajectoryCsv:
         cols = rng.standard_normal((5, grid.steps + 1))
         cols[0, :3] = [-0.0, math.nan, math.inf]
         traj = Trajectory(grid=grid, sp=cols[0], ipr=cols[1], norm=cols[2],
-                          variance=cols[3], collective=cols[4] * (1.0 - 1e-3j),
-                          params={"model.N": 7, "grid.dt": 0.01})
+                          variance=cols[3], collective=cols[4] * (1.0 - 1e-3j))
         path = tmp_path / "t.csv"
-        write_trajectory_csv(traj, str(path), {"note": True})
+        write_trajectory_csv(traj, str(path), {"model.N": 7, "grid.dt": 0.01, "note": True})
         expected = ["# model.N = 7", "# grid.dt = 0.01", "# note = true",
                     "t,SP,IPR,norm,variance,Re S,Im S"]
         for i, t in enumerate(grid.times()):
@@ -274,6 +273,57 @@ class TestTrajectoryCsv:
             expected.append(",".join(fmt(v) for v in (
                 t, cols[0, i], cols[1, i], cols[2, i], cols[3, i], s.real, s.imag)))
         assert path.read_text() == "\n".join(expected) + "\n"
+
+
+#: Each run of ``test_every_header_is_the_config_of_its_run``: its output
+#: directory, command and settings beyond model.N=9.
+_HEADED_RUNS = {
+    "evolve": ("evolve", ["grid.t_max=5", "init.state=site:3"]),
+    "sweep": ("sweep", ["sweep.values=1,6", "grid.t_max=5", "init.state=uniform"]),
+    "fig3": ("figdata", ["fig.bundle=fig3"]),
+    "figA2": ("figdata", ["fig.bundle=figA2"]),
+    "figA1": ("figdata", ["fig.bundle=figA1", "poles.prescription=full"]),
+    "poles": ("poles", ["poles.report_all=true"]),
+    "spectrum": ("spectrum", ["model.a=0.5"]),
+}
+#: The keys a file name sets, and the time step each trajectory bundle sets.
+_NAME_KEYS = {"a": "model.a", "Delta": "model.Delta", "eta": "bath.eta"}
+_BUNDLE_DT = {"fig3": 0.005, "figA2": 0.02}
+
+
+class TestHeaders:
+    """Every CSV is headed by the complete config of the run that wrote it,
+    and nothing else."""
+
+    def test_every_header_is_the_config_of_its_run(self, tmp_path, capsys):
+        trajectories = []
+        for out, (command, sets) in _HEADED_RUNS.items():
+            sets = ["model.N=9", *sets]
+            argv = [arg for item in sets for arg in ("--set", item)]
+            assert main([command, "--out", str(tmp_path / out), *argv]) == 0
+            values = parse_config("", overrides=sets).values
+            for path in sorted((tmp_path / out).glob("*.csv")):
+                lines = path.read_text().splitlines()
+                header = [line[2:] for line in lines if line.startswith("# ")]
+                assert [line.partition(" = ")[0] for line in header] == list(REGISTRY)
+                # A run of a sweep or a bundle sets the keys its file names.
+                point = {_NAME_KEYS[key]: float(value) for key, value in
+                         re.findall(r"_(a|Delta|eta)(-?[0-9.]+?)(?=_|\.csv)", path.name)}
+                if out in _BUNDLE_DT and "summary" not in path.name:
+                    point["grid.dt"] = _BUNDLE_DT[out]
+                assert parse_config_text("\n".join(header)) == {**values, **point}, path.name
+                if lines[len(header)] == "t,SP,IPR,norm,variance,Re S,Im S":
+                    trajectories.append((path, "\n".join(header) + "\n"))
+        assert len(trajectories) == 1 + 2 + 6 + 3
+        # The header alone reproduces the file.
+        for i, (path, header) in enumerate(trajectories):
+            conf = tmp_path / f"{i}.conf"
+            conf.write_text(header)
+            assert main(["evolve", "--config", str(conf),
+                         "--out", str(tmp_path / f"again{i}")]) == 0
+            again = tmp_path / f"again{i}" / "trajectory.csv"
+            assert again.read_bytes() == path.read_bytes(), path.name
+        capsys.readouterr()
 
 
 class TestSummaryCsv:
@@ -294,9 +344,8 @@ class TestCliEvolve:
         header, cols, rows = _read_csv(out / "trajectory.csv")
         assert cols == ["t", "SP", "IPR", "norm", "variance", "Re S", "Im S"]
         assert len(rows) == 101  # t = 0 .. 2 at dt = 0.02
+        assert list(header) == list(REGISTRY)
         assert header["model.N"] == "7"
-        assert header["solver.kernel_omega_max"] == "inf"
-        assert "solver.kernel_rule" not in header
 
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "evolve"
@@ -631,23 +680,20 @@ class TestCliSpectrumPolesSweepFig:
             assert data[-1][0] == row[1] and data[-1][1:4] == row[2:5]
 
     def test_sweep_header_records_the_initial_state(self, tmp_path, capsys):
-        # A sweep point's file is the evolve file of its configuration, with
-        # the sweep.parameter line after init.state.
+        # A sweep point's file is the evolve file of its configuration: the
+        # sweep's, with the swept key set.
         base = ["--set", "model.N=7", "--set", "grid.dt=0.02",
                 "--set", "grid.t_max=2", "--set", "init.state=uniform"]
         assert main(["sweep", "--out", str(tmp_path / "sweep"), *base,
                      "--set", "sweep.values=1.5"]) == 0
         assert main(["evolve", "--out", str(tmp_path / "evolve"), *base,
-                     "--set", "model.Delta=1.5"]) == 0
+                     "--set", "sweep.values=1.5", "--set", "model.Delta=1.5"]) == 0
         capsys.readouterr()
-        header, cols, rows = _read_csv(tmp_path / "sweep" / "sweep_Delta1.5.csv")
-        evolve_header, evolve_cols, evolve_rows = _read_csv(
-            tmp_path / "evolve" / "trajectory.csv")
-        assert list(header)[-2:] == ["init.state", "sweep.parameter"]
+        header, _, _ = _read_csv(tmp_path / "sweep" / "sweep_Delta1.5.csv")
         assert header["init.state"] == "uniform"
         assert header["sweep.parameter"] == "model.Delta"
-        assert {k: v for k, v in header.items() if k != "sweep.parameter"} == evolve_header
-        assert (cols, rows) == (evolve_cols, evolve_rows)
+        assert (tmp_path / "sweep" / "sweep_Delta1.5.csv").read_bytes() == \
+            (tmp_path / "evolve" / "trajectory.csv").read_bytes()
 
     @pytest.mark.parametrize("bundle", ["fig1", "fig2", "fig3", "figA2", "all"])
     def test_figdata_refuses_an_initial_state_it_would_ignore(

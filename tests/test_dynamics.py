@@ -207,13 +207,6 @@ class TestEvolveCoupled:
         # |S|^2 <= N * |alpha|^2 (Cauchy-Schwarz against the flat vector).
         assert np.all(np.abs(traj.collective) ** 2 <= model.N * traj.norm + 1e-9)
 
-    def test_metadata_snapshot(self, traj, model, bath):
-        assert traj.params["model.Delta"] == model.Delta
-        assert traj.params["bath.eta"] == bath.eta
-        assert traj.params["solver.kernel_omega_max"] == math.inf
-        assert not any(key in traj.params for key in (
-            "solver.kernel_rule", "solver.markovian", "solver.memory_window"))
-
     def test_kernel_rules_converge_together(self, model, bath, es_state):
         # The lag-grid trapezoid rule is an independent route to the same
         # history integral; its gap to the shipped product rule is dominated

@@ -146,8 +146,9 @@ def test_bytes_do_not_depend_on_the_locale(tmp_path):
         "grid = TimeGrid(dt=0.5, steps=2)\n"
         "x = np.array([1.0, 0.5, 0.25])\n"
         "traj = Trajectory(grid=grid, sp=x, ipr=x, norm=x, variance=x,\n"
-        "                  collective=x * 1j, params={'model.N': 7})\n"
-        "write_trajectory_csv(traj, sys.argv[1], {'note': '\\u0394 \\u2248 2.5'})\n")
+        "                  collective=x * 1j)\n"
+        "write_trajectory_csv(traj, sys.argv[1],\n"
+        "                     {'model.N': 7, 'note': '\\u0394 \\u2248 2.5'})\n")
     env = {key: value for key, value in os.environ.items()
            if not key.startswith(("LC_", "PYTHON"))}
     env.update(LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",

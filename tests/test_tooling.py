@@ -223,7 +223,7 @@ def test_csv_formatting_stays_chunk_sized(tmp_path, monkeypatch):
     grid = dynamics.TimeGrid(dt=0.01, steps=3 * chunk + 5)
     x = np.linspace(0.0, 1.0, grid.steps + 1)
     traj = dynamics.Trajectory(grid=grid, sp=x, ipr=x, norm=x, variance=x,
-                               collective=x * (1 + 1j), params={})
+                               collective=x * (1 + 1j))
     output.write_trajectory_csv(traj, str(tmp_path / "t.csv"))
     assert sum(rows) == grid.steps + 1
     assert max(rows) <= chunk
