@@ -74,12 +74,12 @@ class BathParams:
     s: float = 1.0
 
     def __post_init__(self):
-        if self.eta < 0.0:
-            raise ParameterError(f"bath.eta must be >= 0, got {self.eta}")
-        if self.omega_c <= 0.0:
-            raise ParameterError(f"bath.omega_c must be > 0, got {self.omega_c}")
-        if self.s <= 0.0:
-            raise ParameterError(f"bath.s must be > 0, got {self.s}")
+        if not self.eta >= 0.0:
+            raise ParameterError(f"bath.eta: must be >= 0; got {self.eta}")
+        if not self.omega_c > 0.0:
+            raise ParameterError(f"bath.omega_c: must be > 0; got {self.omega_c}")
+        if not self.s > 0.0:
+            raise ParameterError(f"bath.s: must be > 0; got {self.s}")
 
 
 class ResiduePrescription(enum.Enum):

@@ -2,9 +2,16 @@
 
 The on-disk format is a plain text file of ``section.key = value`` lines
 (``#`` starts a comment).  Every recognized key lives in one registry with
-its type, default, constraint, and help text; parsing, ``--set`` overrides,
+its type, default, choices and help text; parsing, ``--set`` overrides,
 serialization, and the CLI help are all driven from that single table, so
 the accepted key set and the documented key set cannot drift apart.
+
+The registry does not hold the ranges of the values.  Each is a rule of the
+library type that takes the value (``ModelParams``, ``BathParams``,
+``TimeGrid``, ``PoleSearchRegion``), stated there alone, and ``RunConfig``
+checks them all by building those types.  So ``parse_config_text`` checks
+each value's type, and ``parse_config`` every rule.  Only the ``oracle.*``
+keys, which no type takes at parse time, keep a range in the registry.
 
 Unknown keys are rejected, and every error names the offending key path.
 ``serialize_values`` always writes the complete key set in registry order,
@@ -23,14 +30,17 @@ import numpy as np
 from .bath import BathParams, ResiduePrescription, SigmaMode
 from .dynamics import TimeGrid
 from .errors import ConfigError, ParameterError
-from .model import ModelParams, build_hamiltonian, diagonalize, highest_excited_state
+from .model import (EigenDecomposition, ModelParams, build_hamiltonian, diagonalize,
+                    highest_excited_state)
 from .output import fmt
-from .spectrum import SEARCH_DEPTH
+from .spectrum import SEARCH_DEPTH, PoleSearchRegion, default_search_region
 
 
 @dataclass(frozen=True)
 class KeySpec:
-    """One registry entry: how to parse, check, and print a config key."""
+    """One registry entry: how to parse, check, and print a config key.
+    ``check`` and ``constraint`` state a range only for a key no library
+    type takes."""
 
     name: str
     kind: str          # int | float | opt_float | bool | str | choice | float_list
@@ -100,25 +110,18 @@ BUNDLES = ("fig1", "fig2", "fig3", "figA1", "figA2")
 _MODEL, _BATH = ModelParams(), BathParams()
 
 _KEYS = [
-    KeySpec("model.N", "int", _MODEL.N, "number of lattice sites",
-            check=lambda v: v >= 2, constraint="must be >= 2"),
+    KeySpec("model.N", "int", _MODEL.N, "number of lattice sites"),
     KeySpec("model.lam", "float", _MODEL.lam, "hopping amplitude"),
     KeySpec("model.Delta", "float", _MODEL.Delta, "onsite potential strength"),
-    KeySpec("model.a", "float", _MODEL.a, "potential deformation, |a| < 1",
-            check=lambda v: abs(v) < 1.0, constraint="must satisfy |a| < 1"),
+    KeySpec("model.a", "float", _MODEL.a, "potential deformation, |a| < 1"),
     KeySpec("model.beta", "float", _MODEL.beta,
             "incommensurate wavenumber of the onsite modulation"),
     KeySpec("model.phi", "float", _MODEL.phi, "phase offset of the onsite modulation"),
-    KeySpec("bath.eta", "float", _BATH.eta, "system-bath coupling strength",
-            check=lambda v: v >= 0, constraint="must be >= 0"),
-    KeySpec("bath.omega_c", "float", _BATH.omega_c, "bath cutoff frequency",
-            check=_positive, constraint="must be > 0"),
-    KeySpec("bath.s", "float", _BATH.s, "bath spectral exponent",
-            check=_positive, constraint="must be > 0"),
-    KeySpec("grid.dt", "float", 0.01, "time step",
-            check=_positive, constraint="must be > 0"),
-    KeySpec("grid.t_max", "float", 200.0, "evolution horizon",
-            check=_positive, constraint="must be > 0"),
+    KeySpec("bath.eta", "float", _BATH.eta, "system-bath coupling strength"),
+    KeySpec("bath.omega_c", "float", _BATH.omega_c, "bath cutoff frequency"),
+    KeySpec("bath.s", "float", _BATH.s, "bath spectral exponent"),
+    KeySpec("grid.dt", "float", 0.01, "time step"),
+    KeySpec("grid.t_max", "float", 200.0, "evolution horizon"),
 ]
 _KEYS += [
     KeySpec("init.state", "str", "es",
@@ -133,10 +136,8 @@ _KEYS += [
             "search window lower Re bound (none = auto around the band top)"),
     KeySpec("poles.re_max", "opt_float", None,
             "search window upper Re bound (none = auto)"),
-    KeySpec("poles.im_min", "float", -SEARCH_DEPTH, "search window lower Im bound",
-            check=lambda v: v < 0, constraint="must be < 0"),
-    KeySpec("poles.im_max", "float", 0.0, "search window upper Im bound",
-            check=lambda v: v <= 0, constraint="must be <= 0"),
+    KeySpec("poles.im_min", "float", -SEARCH_DEPTH, "search window lower Im bound"),
+    KeySpec("poles.im_max", "float", 0.0, "search window upper Im bound"),
     KeySpec("poles.report_all", "bool", False,
             "report every pole in the window instead of the two highest"),
     KeySpec("oracle.modes", "int", 2000, "number of sampled bath modes",
@@ -183,7 +184,9 @@ def _assignment(text: str, where: str, form: str) -> tuple[str, object]:
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
-    """Parse ``key = value`` lines into a complete, validated value map."""
+    """Parse ``key = value`` lines into a complete value map, each value
+    checked for its type (and an ``oracle.*`` value for its range); the
+    other ranges are checked by ``RunConfig``."""
     values = default_values()
     seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -233,31 +236,52 @@ def registry_help() -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration with typed views onto every module."""
+    """A value map checked by building, at construction, the typed view of
+    every library type that takes its values: the lattice ``model``, the
+    ``bath``, the time ``grid``, the lattice's eigendecomposition ``dec``
+    (computed here, once) and the pole search window ``pole_region``, whose
+    auto real bounds come from ``dec``.  Each type states its own rules;
+    their ParameterError, which names the key, becomes a ConfigError.
+    Stated here are only the rules of the text format: ``poles.re_min`` and
+    ``poles.re_max`` are set both or neither, ``init.state`` names a state
+    of the lattice, and a horizon (``grid.t_max``, ``oracle.t_max``) is a
+    whole number of ``grid.dt`` steps, which the grid would otherwise round
+    it to."""
 
     values: dict[str, object] = field(repr=False)
     model: ModelParams = field(init=False)
     bath: BathParams = field(init=False)
     grid: TimeGrid = field(init=False)
+    dec: EigenDecomposition = field(init=False, repr=False)
+    pole_region: PoleSearchRegion = field(init=False)
 
     def __post_init__(self):
         v = self.values
+        re_min, re_max = v["poles.re_min"], v["poles.re_max"]
+        if (re_min is None) != (re_max is None):
+            raise ConfigError("poles.re_min and poles.re_max: set both or neither")
         try:
             for section, cls in (("model", ModelParams), ("bath", BathParams)):
                 object.__setattr__(self, section, cls(**{
                     f.name: v[f"{section}.{f.name}"] for f in fields(cls)}))
             object.__setattr__(self, "grid",
                                TimeGrid.from_t_max(v["grid.dt"], v["grid.t_max"]))
+            object.__setattr__(self, "dec", diagonalize(build_hamiltonian(self.model)))
+            if re_min is None:
+                auto = default_search_region(self.model, dec=self.dec)
+                re_min, re_max = auto.re_min, auto.re_max
+            object.__setattr__(self, "pole_region", PoleSearchRegion(
+                re_min, re_max, v["poles.im_min"], v["poles.im_max"]))
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
+        # t_max / dt carries rounding (0.3 / 0.1 = 2.9999999999999996): a
+        # horizon is whole to within a relative 1e-12 of its step count.
+        for key in ("grid.t_max", "oracle.t_max"):
+            steps = v[key] / self.grid.dt
+            if not abs(steps - np.rint(steps)) <= 1e-12 * steps:
+                raise ConfigError(f"{key}: must be a whole number of grid.dt = "
+                                  f"{self.grid.dt} steps; got {v[key]}")
         self._init_site()
-        if v["poles.im_min"] >= v["poles.im_max"]:
-            raise ConfigError("poles.im_min: must be below poles.im_max")
-        re_min, re_max = v["poles.re_min"], v["poles.re_max"]
-        if (re_min is None) != (re_max is None):
-            raise ConfigError("poles.re_min and poles.re_max: set both or neither")
-        if re_min is not None and re_min >= re_max:
-            raise ConfigError("poles.re_min: must be below poles.re_max")
 
     def _init_site(self) -> int | None:
         """The 0-based site of a ``site:<n>`` initial state, None for es and
@@ -290,7 +314,7 @@ class RunConfig:
     def initial_state(self) -> np.ndarray:
         state = self.values["init.state"]
         if state == "es":
-            return highest_excited_state(diagonalize(build_hamiltonian(self.model)))
+            return highest_excited_state(self.dec)
         if state == "uniform":
             return np.full(self.model.N, 1.0 / math.sqrt(self.model.N), dtype=complex)
         vec = np.zeros(self.model.N, dtype=complex)

@@ -109,10 +109,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ParameterError(f"grid.dt must be > 0, got {self.dt}")
+        if not self.dt > 0.0:
+            raise ParameterError(f"grid.dt: must be > 0; got {self.dt}")
         if int(self.steps) != self.steps or self.steps < 1:
-            raise ParameterError(f"grid.steps must be an integer >= 1, got {self.steps}")
+            raise ParameterError(f"grid.steps: must be an integer >= 1; got {self.steps}")
 
     @property
     def t_max(self) -> float:
@@ -123,8 +123,16 @@ class TimeGrid:
 
     @staticmethod
     def from_t_max(dt: float, t_max: float) -> "TimeGrid":
-        if dt <= 0.0 or t_max <= 0.0:
-            raise ParameterError("grid.dt and grid.t_max must be > 0")
+        """The grid of steps ``dt`` nearest the horizon ``t_max``: t_max / dt
+        rounded to a whole number of steps, at least one, so its ``t_max``
+        may differ from the one asked for.  Here the rules of ``grid.dt``
+        and ``grid.t_max`` are stated, each > 0, and no config restates
+        them; a config also refuses a horizon that this rounding would
+        move (``RunConfig``)."""
+        if not dt > 0.0:
+            raise ParameterError(f"grid.dt: must be > 0; got {dt}")
+        if not t_max > 0.0:
+            raise ParameterError(f"grid.t_max: must be > 0; got {t_max}")
         steps = t_max / dt
         if not steps < np.iinfo(np.intp).max:
             raise ParameterError(f"grid.t_max / grid.dt = {steps:g} steps is more "

@@ -28,6 +28,11 @@ class UnstableEvolutionError(NumericsError):
             "reduce dt or check parameters"
         )
 
+    def __reduce__(self):
+        # Rebuilt from its fields, not from ``args`` (the message), so it
+        # crosses a process boundary intact.
+        return type(self), (self.step, self.norm_sq)
+
 
 class PrescriptionViolationError(NumericsError):
     """A refined pole converged to a positive imaginary part, which the
@@ -38,6 +43,9 @@ class PrescriptionViolationError(NumericsError):
         super().__init__(
             f"pole converged to Im(E) = {energy.imag:.3e} > 1e-12 at E = {energy}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.energy,)
 
 
 class OracleMismatchError(GaahError):

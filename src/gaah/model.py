@@ -47,9 +47,9 @@ class ModelParams:
 
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 2:
-            raise ParameterError(f"model.N must be an integer >= 2, got {self.N}")
+            raise ParameterError(f"model.N: must be an integer >= 2; got {self.N}")
         if not abs(self.a) < 1.0:
-            raise ParameterError(f"model.a must satisfy |a| < 1, got {self.a}")
+            raise ParameterError(f"model.a: must satisfy |a| < 1; got {self.a}")
 
 
 @dataclass(frozen=True)

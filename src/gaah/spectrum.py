@@ -166,8 +166,10 @@ def collective_weights(dec: EigenDecomposition) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PoleSearchRegion:
-    """Rectangle in the complex energy plane (im_max <= 0 scans the decaying
-    half plane up to the real axis)."""
+    """Rectangle in the decaying half of the complex energy plane, up to at
+    most the real axis.  Its rules are the one statement of those of the
+    ``poles.*`` window keys: im_max <= 0, and a positive extent on both axes,
+    so im_min < 0 too.  A nan bound breaks them."""
 
     re_min: float
     re_max: float
@@ -175,8 +177,14 @@ class PoleSearchRegion:
     im_max: float
 
     def __post_init__(self):
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise ParameterError("pole search region must have positive extent")
+        if not self.im_max <= 0.0:
+            raise ParameterError(f"poles.im_max: must be <= 0; got {self.im_max}")
+        if not self.im_min < self.im_max:
+            raise ParameterError("poles.im_min: must be below poles.im_max = "
+                                 f"{self.im_max}; got {self.im_min}")
+        if not self.re_min < self.re_max:
+            raise ParameterError("poles.re_min: must be below poles.re_max = "
+                                 f"{self.re_max}; got {self.re_min}")
 
 
 def default_search_region(model: ModelParams,
@@ -511,7 +519,7 @@ def find_poles(model: ModelParams, bath: BathParams, region: PoleSearchRegion,
     Re E <= 0, either mode beyond the guard range), raises the bath's
     ParameterError up front; every seed then lies where Sigma is defined."""
     mode = sigma_mode.resolve(bath)
-    self_energy_eval(bath, np.array([region.re_min, region.re_max]), prescription, mode)
+    _check_domain(bath, [region.re_min, region.re_max], mode)
     dec = _decomposition(model, dec)
     E, iterations, resid, fate = _seed_fates(model, bath, region, prescription, mode, dec)
     poles = [_resonance(model, bath, dec, complex(E[i]), int(iterations[i]), True,

@@ -88,10 +88,13 @@ class TestParse:
             parse_config_text("poles.re_min = low\n")
 
     def test_constraint_errors_name_the_key(self):
-        with pytest.raises(ConfigError, match=r"model.a: must satisfy \|a\| < 1"):
-            parse_config_text("model.a = 1.2\n")
-        with pytest.raises(ConfigError, match="grid.dt: must be > 0"):
-            parse_config_text("grid.dt = -0.01\n")
+        # The text parser checks types; the range rules are the types' own,
+        # checked as parse_config builds them.
+        assert parse_config_text("model.a = 1.2\n")["model.a"] == 1.2
+        with pytest.raises(ConfigError, match=r"^model.a: must satisfy \|a\| < 1; got 1.2$"):
+            parse_config("model.a = 1.2\n")
+        with pytest.raises(ConfigError, match=r"^grid.dt: must be > 0; got -0.01$"):
+            parse_config("grid.dt = -0.01\n")
 
     def test_choice_errors_list_alternatives(self):
         with pytest.raises(
@@ -213,6 +216,12 @@ class TestRunConfig:
                          .replace("poraise", "poles"))
         with pytest.raises(ConfigError, match="must be below poles.im_max"):
             parse_config("poles.im_min = -0.1\npoles.im_max = -0.2\n")
+
+    def test_pole_window_view(self):
+        auto = parse_config("")
+        assert auto.pole_region == spectrum.default_search_region(auto.model, dec=auto.dec)
+        set_ = parse_config("poles.re_min = 2.8\npoles.re_max = 3\npoles.im_min = -0.1\n")
+        assert set_.pole_region == spectrum.PoleSearchRegion(2.8, 3.0, -0.1, 0.0)
 
     def test_overrides_through_parse_config(self):
         cfg = parse_config("model.Delta = 1\n", overrides=["model.Delta=6"])
@@ -408,6 +417,43 @@ class TestCliErrors:
         assert manifest["command"] == "evolve"
         assert manifest["config"] == ""
         assert "bogus" in manifest["tasks"][0]["detail"]
+
+    @pytest.mark.parametrize("key, sets", [
+        ("model.N", ["model.N=1"]),
+        ("model.a", ["model.a=1.2"]),
+        ("bath.eta", ["bath.eta=-1"]),
+        ("bath.omega_c", ["bath.omega_c=0"]),
+        ("bath.s", ["bath.s=0"]),
+        ("grid.dt", ["grid.dt=0"]),
+        ("grid.t_max", ["grid.t_max=-1"]),
+        ("poles.im_min", ["poles.im_min=0"]),
+        ("poles.im_max", ["poles.im_max=0.1"]),
+        ("poles.im_min", ["poles.im_min=-0.1", "poles.im_max=-0.2"]),
+        ("poles.re_min", ["poles.re_min=3", "poles.re_max=2"]),
+        ("poles.re_min", ["poles.re_min=nan", "poles.re_max=1"]),
+        # A horizon the grid would round to another.
+        ("grid.t_max", ["grid.dt=0.3", "grid.t_max=1"]),
+        ("grid.t_max", ["grid.t_max=1e-9"]),
+        ("oracle.t_max", ["oracle.t_max=0.005"]),
+    ])
+    def test_every_range_rule_is_checked_at_parse(self, tmp_path, capsys, key, sets):
+        # The rules the library types state, checked as the config is
+        # parsed, even by a command that does not use the value.
+        argv = [arg for item in sets for arg in ("--set", item)]
+        assert main(["evolve", "--out", str(tmp_path), *argv]) == 2
+        err = capsys.readouterr().err
+        detail = _config_error_manifest(tmp_path)["tasks"][0]["detail"]
+        assert detail.startswith(f"{key}: ") and f"config error: {detail}\n" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("dt, t_max", [(0.01, 1200.0), (0.002, 50.0), (0.005, 200.0),
+                                           (0.02, 400.0), (0.3, 0.9), (0.1, 0.3)])
+    def test_horizons_on_the_grid_pass(self, dt, t_max):
+        # t_max / dt is 2.9999999999999996 at (0.1, 0.3): whole to within
+        # rounding.
+        cfg = parse_config("", overrides=[f"grid.dt={dt}", f"grid.t_max={t_max}",
+                                          f"oracle.t_max={t_max}"])
+        assert cfg.grid.t_max == pytest.approx(t_max, rel=1e-12)
 
     def test_parse_time_range_error_writes_manifest(self, tmp_path, capsys):
         out = tmp_path / "new"  # made by the failing run itself
@@ -664,6 +710,18 @@ class TestCliSpectrumPolesSweepFig:
         assert not list(tmp_path.glob("sweep_*.csv"))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "config-error"
+
+    def test_sweep_with_an_unstable_point_is_a_numeric_failure(self, tmp_path, capsys):
+        # The worker's UnstableEvolutionError reaches the parent as itself,
+        # not as a BrokenProcessPool: exit 3, as gaah evolve gives.
+        rc = main(["sweep", "--out", str(tmp_path), "--set", "model.N=7",
+                   "--set", "sweep.parameter=bath.eta", "--set", "sweep.values=50,0.1,0.2",
+                   "--set", "grid.dt=0.5", "--set", "grid.t_max=20"])
+        assert rc == 3
+        assert "numeric failure: norm^2 = " in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "numeric-failure"
+        assert manifest["tasks"][0]["status"] == "numeric-failure"
 
     def test_sweep_over_the_horizon_reports_each_point_s_own(self, tmp_path, capsys):
         rc = main(["sweep", "--out", str(tmp_path), "--set", "model.N=7",

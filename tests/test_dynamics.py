@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -146,6 +147,12 @@ class TestEvolveValidation:
         assert err.step == 7
         assert err.norm_sq == 1.5
         assert "step 7" in str(err)
+
+    def test_unstable_error_survives_pickle(self):
+        # As it crosses from a sweep worker to the parent process.
+        err = pickle.loads(pickle.dumps(UnstableEvolutionError(7, 1.5)))
+        assert type(err) is UnstableEvolutionError
+        assert (err.step, err.norm_sq, str(err)) == (7, 1.5, str(UnstableEvolutionError(7, 1.5)))
 
 
 class TestEvolveClosedSystem:

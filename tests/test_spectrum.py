@@ -6,6 +6,8 @@ import cmath
 import collections
 import itertools
 import math
+import pickle
+import re
 import warnings
 
 import numpy as np
@@ -457,10 +459,17 @@ class TestCollectiveChannel:
 
 class TestSearchRegion:
     def test_validation(self):
-        with pytest.raises(ParameterError, match="extent"):
+        with pytest.raises(ParameterError, match=re.escape(
+                "poles.re_min: must be below poles.re_max = 1.0; got 2.0")):
             PoleSearchRegion(2.0, 1.0, -0.1, 0.0)
-        with pytest.raises(ParameterError, match="extent"):
+        with pytest.raises(ParameterError, match=re.escape(
+                "poles.im_min: must be below poles.im_max = 0.0; got 0.0")):
             PoleSearchRegion(1.0, 2.0, 0.0, 0.0)
+        with pytest.raises(ParameterError, match=re.escape(
+                "poles.im_max: must be <= 0; got 0.1")):
+            PoleSearchRegion(1.0, 2.0, -0.1, 0.1)
+        with pytest.raises(ParameterError, match="poles.re_min: .*; got nan"):
+            PoleSearchRegion(math.nan, 2.0, -0.1, 0.0)
 
     def test_default_region_brackets_top_level(self, model, eig):
         region = default_search_region(model)
@@ -654,6 +663,12 @@ class TestRefinePole:
         err = PrescriptionViolationError(1.0 + 0.5j)
         assert err.energy == 1.0 + 0.5j
         assert "1" in str(err)
+
+    def test_violation_error_survives_pickle(self):
+        err = pickle.loads(pickle.dumps(PrescriptionViolationError(1.0 + 0.5j)))
+        assert type(err) is PrescriptionViolationError
+        assert err.energy == 1.0 + 0.5j
+        assert str(err) == str(PrescriptionViolationError(1.0 + 0.5j))
 
 
 class TestPoleTrends:
